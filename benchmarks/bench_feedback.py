@@ -227,7 +227,7 @@ def _rounds_per_sec(workload, n, t, *, compiled, min_seconds):
     invocations — the steady-state caller representation (the f-AME
     protocol object and the baseline drivers keep a cache for exactly
     this reason), so the timing covers warm-shape reuse rather than
-    rebuilding bucket blocks and stream tables from scratch every call.
+    rebuilding templates, metadata and stream tables every call.
     """
     shapes = ScheduleShapeCache() if compiled else None
     start = time.perf_counter()

@@ -520,9 +520,18 @@ class SocketBackend(DispatchBackend):
             )
 
     def _close_pool(self, *, force: bool) -> None:
-        """Tear the pool down; graceful closes say goodbye first."""
+        """Tear the pool down; graceful closes say goodbye first.
+
+        A graceful close first lets every live spawned worker finish its
+        handshake (bounded by ``accept_timeout``): a batch can complete
+        before a slow-starting worker connects, and closing the listener
+        under it would leave it spinning in its connect retry until the
+        reaper killed it.  Every welcomed worker then gets ``shutdown``.
+        """
         if self._sel is None:
             return
+        if not force:
+            self._greet_late_workers()
         for conn in list(self._conns.values()):
             if not force:
                 try:
@@ -574,24 +583,51 @@ class SocketBackend(DispatchBackend):
                     f"only {self._ready_count()}/{want} workers completed "
                     f"the handshake while warming up"
                 )
-            for key, _events in self._sel.select(timeout=min(remaining, 0.25)):
-                if key.data is None:
-                    self._accept()
-                    continue
-                conn = key.data
-                try:
-                    chunk = conn.sock.recv(_RECV_CHUNK)
-                except (BlockingIOError, InterruptedError):
-                    continue
-                except OSError:
-                    self._forget(conn)
-                    continue
-                if not chunk:
-                    self._forget(conn)
-                    continue
-                for frame in conn.decoder.feed(chunk):
-                    self._handshake(frame, conn)
+            self._handshake_pass(min(remaining, 0.25))
         return self._ready_count()
+
+    def _handshake_pass(self, timeout: float) -> None:
+        """One select pass outside a run: accept connections and answer
+        ``hello`` frames.  Anything a welcomed worker still sends (late
+        results of a finished run) is read and dropped."""
+        for key, _events in self._sel.select(timeout=timeout):
+            if key.data is None:
+                self._accept()
+                continue
+            conn = key.data
+            try:
+                chunk = conn.sock.recv(_RECV_CHUNK)
+            except (BlockingIOError, InterruptedError):
+                continue
+            except OSError:
+                self._forget(conn)
+                continue
+            if not chunk:
+                self._forget(conn)
+                continue
+            for frame in conn.decoder.feed(chunk):
+                if conn.ready or not self._handshake(frame, conn):
+                    break
+
+    def _greet_late_workers(self) -> None:
+        """Serve handshakes until every live spawned worker is welcomed
+        (or ``accept_timeout`` runs out); see :meth:`_close_pool`."""
+        if self._listener is None:
+            return
+        deadline = time.monotonic() + self.accept_timeout
+        while time.monotonic() < deadline:
+            welcomed = {
+                c.peer.get("pid") for c in self._conns.values() if c.ready
+            }
+            if all(
+                proc.poll() is not None or proc.pid in welcomed
+                for proc in self.spawned
+            ):
+                return
+            try:
+                self._handshake_pass(0.05)
+            except DispatchError:
+                return  # a garbled peer: close without waiting further
 
     def _ready_count(self) -> int:
         return sum(1 for c in self._conns.values() if c.ready)

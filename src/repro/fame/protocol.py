@@ -155,7 +155,7 @@ class FameProtocol:
         self.dense_actions = dense_actions
         # One schedule-shape cache for the whole run: every move's feedback
         # phase has the same (participants, channels, repetitions) geometry,
-        # so buckets/metadata/stream tables are built once and recycled.
+        # so templates/metadata/stream tables are built once and reused.
         self._shape_cache = ScheduleShapeCache()
 
         # Game state: one canonical graph with live greedy pools, plus one

@@ -22,11 +22,12 @@ during the phase depends on anything observed during the phase.  The
 witness of rank ``i`` occupies feedback channel ``i`` in every repetition
 (a static transmitter template), and each listener's channel hops are
 private coin flips fixed by its RNG stream — so the entire
-``slots × repetitions`` loop (and each level of the parallel merge tree)
-can be precomputed into a :class:`~repro.radio.network.RoundSchedule` and
-submitted to :meth:`~repro.radio.network.RadioNetwork.execute_schedule`
-in one call.  The engine then settles listeners *lazily*, per channel
-group: a silent or collided channel costs no per-listener work at all.
+``slots × repetitions`` loop (and each step of the parallel merge tree)
+can be precomputed into :class:`~repro.radio.network.HopBlock` entries —
+a template plus one hop row per listener — and submitted to
+:meth:`~repro.radio.network.RadioNetwork.execute_schedule` in one call.
+The engine resolves channels, never listeners; the routines then test
+each listener's hop row against per-channel masks of decoding rounds.
 
 Lemma 5 fidelity: compilation changes no observable of the execution.
 The adversary is still consulted every round with the same view (public

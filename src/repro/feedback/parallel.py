@@ -51,13 +51,19 @@ from typing import Callable, Mapping, Sequence
 from ..errors import ConfigurationError
 from ..radio.actions import Action, Listen, Transmit
 from ..radio.messages import DELTA_KIND, DeltaFrame, Message
-from ..radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
+from ..radio.network import (
+    HopBlock,
+    RadioNetwork,
+    RoundMeta,
+    RoundSchedule,
+    hop_hits,
+    hop_row,
+)
 from ..radio.shapes import ScheduleShapeCache
 from ..rng import BlockDrawer, RngRegistry, draw_uniform_indices
 
 MERGE_KIND = "feedback-merge"
 
-_UNRESOLVED = object()  # sentinel distinguishing "not seen" from "invalid"
 
 
 @dataclass
@@ -173,10 +179,10 @@ class DeltaApplyState:
     ) -> None:
         """Fold one decoded frame into every listener of its channel.
 
-        The hot path of the delta encoding: verification and the applied
-        key are resolved once per decode, each already-applied listener
-        costs one set lookup, and a first-time listener pays a single
-        C-level ``dict.update`` of the cached items.
+        Verification and the applied key are resolved once per decode,
+        each already-applied listener costs one set lookup, and a
+        first-time listener pays a single C-level ``dict.update`` of the
+        cached items.
         """
         verdict = self.resolve(frame)
         if verdict is None:
@@ -251,10 +257,11 @@ def _fold_channel(
 ) -> None:
     """Fold one decoded channel's frame into its listeners' knowledge.
 
-    The one receive path shared by the compiled and per-round loops, for
-    both encodings: full frames ``dict.update`` every listener, delta
-    frames go through :meth:`DeltaApplyState.apply` (O(1) when already
-    applied).
+    The receive path of the per-round loop, for both encodings: full
+    frames ``dict.update`` every listener, delta frames go through
+    :meth:`DeltaApplyState.fold` (O(1) when already applied).  The hop
+    block fold in :func:`_run_transfer_rounds` reaches the same state
+    without a per-round walk.
     """
     if delta_state is not None:
         if received.kind != DELTA_KIND:
@@ -307,19 +314,23 @@ def _run_transfer_rounds(
     :class:`~repro.radio.messages.DeltaFrame` when the invocation uses the
     delta encoding (``delta_state`` set), ``None`` on the full-frame path.
 
-    The repetition loop is oblivious, so the default path compiles it into
-    one :class:`RoundSchedule`: the broadcaster assignment is a static
-    template (each knowledge frame built once, not once per repetition —
-    the frames of one transfer are identical across rounds), each
-    listener's whole block-hop sequence is materialized up front with the
-    batched :class:`~repro.rng.BlockDrawer` (``block_draws=False`` replays
-    the per-draw reference sampler — byte-identical either way), and
-    results fold back per decoded channel.  Round metadata and the
-    per-round listener buckets come from ``shapes`` (a fresh ephemeral
-    cache when the caller passes none) and are recycled in place across
-    invocations with the same geometry.  ``compiled=False`` replays the
-    historical per-round loop; all paths are byte-identical on seeded
-    runs.
+    The repetition loop is oblivious, so the default path submits it as
+    one :class:`~repro.radio.network.HopBlock`: the broadcaster assignment
+    is its static template (each knowledge frame built once, not once per
+    repetition — the frames of one transfer are identical across rounds),
+    its channel tuple is the transfer blocks laid end to end, and each
+    listener's hop row is its whole block-hop sequence, drawn in one
+    :class:`~repro.rng.BlockDrawer` call (``block_draws=False`` replays
+    the per-draw reference sampler — byte-identical either way) and
+    shifted to its transfer's positions.  The fold intersects each
+    channel's mask of rounds that decoded a matching frame with each
+    listener's hop row.  A listener applies a frame once, at the first
+    round it heard it, and every later hearing counts as a skip, so the
+    per-node application order and the :class:`DeltaApplyState` counters
+    are exactly those of the per-round fold.  Round metadata and stream
+    tables come from ``shapes`` (a fresh ephemeral cache when the caller
+    passes none).  ``compiled=False`` replays the historical per-round
+    loop; all paths are byte-identical on seeded runs.
     """
     used_channels: set[int] = set()
     for broadcasters, _, block, _, _ in transfers:
@@ -351,116 +362,123 @@ def _run_transfer_rounds(
 
     if shapes is None:
         shapes = ScheduleShapeCache()
-    meta = shapes.meta(phase, tag=tag)
-    buckets = shapes.buckets(tuple(used_channels), repetitions)
-    rows = buckets.rows
-    channel_pos = buckets.index
+    channels = tuple(c for _, _, block, _, _ in transfers for c in block)
+    width = len(channels)
     template: dict[int, Transmit] = {}
-    listen_total = 0
-    for broadcasters, listeners, block, knowledge, delta in transfers:
+    listeners: list[int] = []
+    rows: list = []
+    # Per transfer: its channel positions and its listeners' index range.
+    spans: list[tuple[int, int, int, int]] = []
+    offset = 0
+    for broadcasters, transfer_listeners, block, knowledge, delta in transfers:
         for idx, channel in enumerate(block):
             template[broadcasters[idx]] = Transmit(
                 channel,
                 _build_frame(broadcasters[idx], tag, knowledge, delta),
             )
-        # Materialize each listener's whole hop sequence (choice-stream
-        # compatible; see the invariant in repro.rng) and transpose it
-        # straight into the pre-allocated per-round buckets.  Hops are
-        # drawn as indices *within the block* and mapped to bucket
-        # positions, so the fill indexes lists instead of hashing
-        # channel ids.
-        block_list = list(block)
-        nblock = len(block_list)
+        # Each listener's whole hop sequence in one draw (choice-stream
+        # compatible; see the invariant in repro.rng), drawn as indices
+        # within the transfer's block and shifted to its positions.
+        nblock = len(block)
         if block_draws:
             draw = BlockDrawer(nblock).draw
         else:
             draw = lambda stream, count: draw_uniform_indices(  # noqa: E731
                 stream, nblock, count
             )
-        # One bucket view per round in block order: selecting buckets by
-        # raw hop index here keeps the per-hop loop below to a single
-        # list index + append, amortized over every listener.
-        bucket_rows = [
-            [row[channel_pos[c]] for c in block_list] for row in rows
-        ]
         streams = shapes.streams(
-            rng, rng_namespace, "merge-listen", listeners
+            rng, rng_namespace, "merge-listen", transfer_listeners
         )
-        for node, stream in zip(listeners, streams):
-            for row, hop in zip(bucket_rows, draw(stream, repetitions)):
-                row[hop].append(node)
-        listen_total += len(streams)
+        first = len(listeners)
+        for node, stream in zip(transfer_listeners, streams):
+            listeners.append(node)
+            rows.append(hop_row(draw(stream, repetitions), width, offset))
+        spans.append((offset, offset + nblock, first, len(listeners)))
+        offset += nblock
+    block = HopBlock(
+        repetitions,
+        template,
+        channels,
+        tuple(listeners),
+        tuple(rows),
+        shapes.meta(phase, tag=tag),
+    )
 
-    fanouts: list[dict[int, list[int]]] = buckets.listens
-    compiled_rounds: list[CompiledRound] = [
-        CompiledRound(
-            transmits=template,
-            listens=by_channel,
-            meta=meta,
-            listen_count=listen_total,
-        )
-        for by_channel in fanouts
-    ]
-
-    heard_per_round = network.execute_schedule(RoundSchedule(compiled_rounds))
+    heard = network.execute_schedule(RoundSchedule([block]))
 
     if delta_state is None:
-        for by_channel, heard in zip(fanouts, heard_per_round):
-            for channel, received in heard.items():
-                _fold_channel(
-                    received,
-                    tag,
-                    by_channel[channel],
-                    per_node_knowledge,
-                    delta_state,
-                )
-        return
 
-    # Delta fold, specialised for the compiled path: the same per-frame
-    # semantics as DeltaApplyState.fold (via resolve() and the shared
-    # applied-key state), inlined because this loop runs once per decoded
-    # channel-round.  A decoded message on a transfer channel is the
-    # *same* template object every repetition, so frame classification
-    # (kind/tag checks plus digest verification) resolves once per
-    # distinct message, each frame keeps a local set of listeners it
-    # already reached (one membership test per skip — the by-far common
-    # case), and only a first-time listener touches the global per-node
-    # applied-key state.
-    applied = delta_state.applied
-    resolved: dict[int, tuple | None] = {}
-    for by_channel, heard in zip(fanouts, heard_per_round):
-        for channel, received in heard.items():
-            entry = resolved.get(id(received), _UNRESOLVED)
-            if entry is _UNRESOLVED:
-                entry = None
-                if received.kind == DELTA_KIND:
-                    frame = received.payload
-                    if isinstance(frame, DeltaFrame) and frame.tag == tag:
-                        verdict = delta_state.resolve(frame)
-                        if verdict is not None:
-                            entry = (*verdict, set())
-                resolved[id(received)] = entry
-            if entry is None:
+        def classify(received: Message) -> tuple | None:
+            if received.kind != MERGE_KIND:
+                return None
+            recv_tag, items = received.payload
+            return (items, dict(items)) if recv_tag == tag else None
+
+    else:
+
+        def classify(received: Message) -> tuple | None:
+            frame = received.payload
+            if (
+                received.kind != DELTA_KIND
+                or not isinstance(frame, DeltaFrame)
+                or frame.tag != tag
+            ):
+                return None
+            return delta_state.resolve(frame)
+
+    masks = block.decoded_masks(heard, classify)
+    if not masks:
+        return
+    applied = None if delta_state is None else delta_state.applied
+    applications = skips = 0
+    for lo, hi, first, last in spans:
+        transfer_masks = [entry for entry in masks if lo <= entry[0] < hi]
+        if not transfer_masks:
+            continue
+        for node, row in zip(listeners[first:last], rows[first:last]):
+            # What this listener heard, per frame key: the first round it
+            # heard it in and how many rounds it did.
+            heard_keys: dict[object, list] = {}
+            for pos, (key, items), mask in transfer_masks:
+                hits = hop_hits(row, pos, mask)
+                if hits:
+                    first_round = (hits & -hits).bit_length()
+                    got = heard_keys.get(key)
+                    if got is None:
+                        heard_keys[key] = [first_round, hits.bit_count(), items]
+                    else:
+                        got[0] = min(got[0], first_round)
+                        got[1] += hits.bit_count()
+            if not heard_keys:
                 continue
-            key, items, reached = entry
-            skips = 0
-            applications = 0
-            for node in by_channel[channel]:
-                if node in reached:
-                    skips += 1
+            ordered = heard_keys.items()
+            if len(heard_keys) > 1:
+                ordered = sorted(ordered, key=lambda kv: kv[1][0])
+            knowledge = per_node_knowledge[node]
+            if applied is None:
+                # Full frames: every frame of a transfer carries its source
+                # group's knowledge, so one update per distinct frame, in
+                # hearing order, leaves what the per-round updates leave.
+                for _, (_, _, items) in ordered:
+                    knowledge.update(items)
+                continue
+            # Delta frames, counted exactly as the per-round fold counts
+            # them: the first hearing of a key the node has not applied
+            # applies it, every other hearing is a skip.
+            seen = applied.get(node)
+            if seen is None:
+                seen = applied[node] = set()
+            for key, (_, count, items) in ordered:
+                if key in seen:
+                    skips += count
                     continue
-                reached.add(node)
-                seen = applied.get(node)
-                if seen is None:
-                    seen = applied[node] = set()
-                elif key in seen:
-                    skips += 1
-                    continue
-                per_node_knowledge[node].update(items)
+                knowledge.update(items)
                 seen.add(key)
                 applications += 1
-            delta_state.skips += skips
-            delta_state.applications += applications
+                skips += count - 1
+    if delta_state is not None:
+        delta_state.applications += applications
+        delta_state.skips += skips
 
 
 def _transfer_rounds_per_round(
@@ -543,7 +561,7 @@ def run_parallel_feedback(
     batched vs per-draw hop sampling (byte-identical either way) and an
     optional cross-invocation shape cache.  Within one invocation the
     merge tree always shares one cache, so the per-level transfer rounds
-    recycle buckets and metadata even when the caller passes none.
+    reuse metadata and stream tables even when the caller passes none.
     """
     t = network.t
     block_size = max(1, 2 * t)

@@ -19,23 +19,26 @@ Execution strategy
 ------------------
 The repetition loop is *oblivious*: who transmits where is fixed by the
 witness ranks, and each listener's hop sequence is private randomness that
-depends on nothing observed during the phase.  The default path therefore
-**compiles** the whole ``slots × repetitions`` loop into one
-:class:`~repro.radio.network.RoundSchedule` — per-slot static transmitter
-templates plus per-round listener groups drawn from each listener's RNG
-stream up front — and submits it through
-:meth:`~repro.radio.network.RadioNetwork.execute_schedule`, folding the
-per-channel results back into the output sets.  Hop sequences are
-materialized in blocks by :class:`~repro.rng.BlockDrawer` (byte-identical
-to the per-draw chain — the invariant lives in ``repro.rng``;
-``block_draws=False`` replays the per-draw sampler), and the per-round
-listener buckets, round metadata, transmitter templates and listener
-stream tables come from a :class:`~repro.radio.ScheduleShapeCache` so
-long-lived callers reuse schedule *shape* across invocations.
-``compiled=False`` replays the historical
-one-``execute_round``-per-repetition loop; seeded runs of all paths are
-byte-identical (same RNG stream consumption, same metrics, same traces),
-which `tests/test_feedback_pipeline.py` enforces.
+depends on nothing observed during the phase, so a slot's whole loop is a
+static transmitter template plus a hop matrix.  The default path submits
+each slot as one :class:`~repro.radio.network.HopBlock` — the slot's
+template, the feedback channels, its listeners and one hop row per
+listener — in a single :class:`~repro.radio.network.RoundSchedule`, which
+:meth:`~repro.radio.network.RadioNetwork.execute_schedule` validates and
+resolves block by block.  Each listener draws its hops for every slot of
+the invocation in one :class:`~repro.rng.BlockDrawer` call (its stream is
+private, so the draws are the ones the per-round loop makes —
+byte-identical by the invariant in ``repro.rng``; ``block_draws=False``
+replays the per-draw sampler).  The result fold intersects each channel's
+mask of rounds that decoded ``<true, r>`` with each listener's hop row,
+so no per-round listener list is ever built.  Round metadata, transmitter
+templates and listener stream tables come from a
+:class:`~repro.radio.ScheduleShapeCache`, so long-lived callers reuse
+schedule *shape* across invocations.  ``compiled=False`` replays the
+historical one-``execute_round``-per-repetition loop; seeded runs of all
+paths are byte-identical (same RNG stream consumption, same metrics, same
+traces), which ``tests/test_feedback_pipeline.py`` and the golden
+fingerprints of ``tests/test_golden_grid.py`` enforce.
 """
 
 from __future__ import annotations
@@ -45,7 +48,14 @@ from typing import Mapping, Sequence
 from ..errors import ConfigurationError
 from ..radio.actions import Action, Listen, Transmit
 from ..radio.messages import Message
-from ..radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
+from ..radio.network import (
+    HopBlock,
+    RadioNetwork,
+    RoundMeta,
+    RoundSchedule,
+    hop_hits,
+    hop_row,
+)
 from ..radio.shapes import ScheduleShapeCache
 from ..rng import BlockDrawer, RngRegistry, draw_uniform_indices
 from .witness import WitnessAssignment
@@ -119,9 +129,9 @@ def run_feedback(
     shape_cache:
         Optional :class:`~repro.radio.shapes.ScheduleShapeCache` shared
         across invocations with the same geometry (templates, round
-        metadata, listener buckets and stream tables are then reused
-        instead of rebuilt).  Defaults to a fresh per-invocation cache;
-        observable behaviour is identical either way.
+        metadata and stream tables are then reused instead of rebuilt).
+        Defaults to a fresh per-invocation cache; observable behaviour is
+        identical either way.
 
     Returns
     -------
@@ -243,21 +253,23 @@ def _run_feedback_compiled(
     shapes: ScheduleShapeCache,
     block_draws: bool,
 ) -> None:
-    """Compile ``slots × repetitions`` into one schedule and run it in bulk.
+    """Run ``slots × repetitions`` as one hop block per slot, in bulk.
 
     Per slot the witness broadcasts form a *static transmitter template*
     (rank map precomputed once — no ``witnesses.index`` in any inner loop)
-    shared by every repetition's :class:`CompiledRound`; each listener's
-    whole hop sequence is materialized from its private stream up front
-    with the batched :class:`~repro.rng.BlockDrawer`, consuming the
-    streams in exactly the order the per-round path would (slot-major,
-    then repetition), so seeded executions coincide bit for bit.  Shape —
-    templates, metadata, the per-round listener buckets the hop matrices
-    transpose into, and the stream table — comes from ``shapes`` and is
-    reused in place across invocations when the caller shares a cache.
+    and the other participants listen.  Each listener draws its hops for
+    every slot it listens in with **one** draw off its private stream;
+    slot-major order is exactly the order the per-round path consumes
+    that stream in, so seeded executions coincide bit for bit.  Its row
+    for a slot is the matching slice.  The fold then asks each listener's
+    row whether it sat on a channel in a round that decoded ``<true, r>``
+    (:meth:`~repro.radio.network.HopBlock.decoded_masks`), instead of
+    walking per-round listener lists.  Templates, metadata and the stream
+    table come from ``shapes``.
     """
     channels = assignment.channels
     nchan = len(channels)
+    slots = assignment.slots
     streams = shapes.streams(rng, rng_namespace, "listen", participants)
     if block_draws:
         draw = BlockDrawer(nchan).draw
@@ -266,17 +278,33 @@ def _run_feedback_compiled(
             stream, nchan, count
         )
 
-    buckets = shapes.buckets(channels, assignment.slots * repetitions)
-    rows = buckets.rows
-    listens = buckets.listens
-    compiled_rounds: list[CompiledRound] = []
-    # fanouts[i] = (slot, listener groups) for compiled_rounds[i]; the
-    # groups let the result fold touch only channels that decoded a frame.
-    fanouts: list[tuple[int, Mapping[int, list[int]]]] = []
-    base = 0
-    for slot in range(assignment.slots):
+    # The slots each witness transmits in; everyone listens in the rest.
+    busy: dict[int, set[int]] = {}
+    for slot in range(slots):
+        for w in assignment.witnesses_of(slot):
+            busy.setdefault(w, set()).add(slot)
+    every_slot = range(slots)
+    listeners: list[list[int]] = [[] for _ in every_slot]
+    rows: list[list] = [[] for _ in every_slot]
+    for node, stream in zip(participants, streams):
+        taken = busy.get(node)
+        listening = (
+            every_slot
+            if taken is None
+            else [slot for slot in every_slot if slot not in taken]
+        )
+        if not listening:
+            continue
+        hops = hop_row(draw(stream, len(listening) * repetitions), nchan)
+        start = 0
+        for slot in listening:
+            listeners[slot].append(node)
+            rows[slot].append(hops[start : start + repetitions])
+            start += repetitions
+
+    blocks: list[HopBlock] = []
+    for slot in range(slots):
         witnesses = assignment.witnesses_of(slot)
-        witness_set = set(witnesses)
         slot_flag = flags[witnesses[0]]
         if slot_flag:
             for w in witnesses:
@@ -289,40 +317,33 @@ def _run_feedback_compiled(
                 for rank, w in enumerate(witnesses)
             },
         )
-        meta = shapes.meta(phase, slot=slot)
-        # Materialize each listener's hop sequence for this slot and
-        # transpose it straight into the slot's pre-allocated buckets
-        # (hop values are channel *positions*, so the fill indexes lists
-        # instead of hashing channel ids).  Every bucket dict is
-        # pre-seeded with every feedback channel, in channel order.
-        slot_rows = rows[base : base + repetitions]
-        listen_count = 0
-        for node, stream in zip(participants, streams):
-            if node in witness_set:
-                continue
-            for row, hop in zip(slot_rows, draw(stream, repetitions)):
-                row[hop].append(node)
-            listen_count += 1
-        for i in range(base, base + repetitions):
-            by_channel = listens[i]
-            compiled_rounds.append(
-                CompiledRound(
-                    transmits=template,
-                    listens=by_channel,
-                    meta=meta,
-                    listen_count=listen_count,
-                )
+        blocks.append(
+            HopBlock(
+                repetitions,
+                template,
+                channels,
+                tuple(listeners[slot]),
+                tuple(rows[slot]),
+                shapes.meta(phase, slot=slot),
             )
-            fanouts.append((slot, by_channel))
-        base += repetitions
+        )
 
-    heard_per_round = network.execute_schedule(RoundSchedule(compiled_rounds))
+    heard = network.execute_schedule(RoundSchedule(blocks))
 
-    for (slot, by_channel), heard in zip(fanouts, heard_per_round):
-        for channel, received in heard.items():
-            if received.kind == FEEDBACK_KIND and received.payload == (
-                "true",
-                slot,
-            ):
-                for node in by_channel[channel]:
+    for slot, block in enumerate(blocks):
+        true_frame = ("true", slot)
+        masks = block.decoded_masks(
+            heard[slot * repetitions : (slot + 1) * repetitions],
+            lambda msg: (
+                True
+                if msg.kind == FEEDBACK_KIND and msg.payload == true_frame
+                else None
+            ),
+        )
+        if not masks:
+            continue
+        for node, row in zip(block.listeners, block.hops):
+            for pos, _, mask in masks:
+                if hop_hits(row, pos, mask):
                     outputs[node].add(slot)
+                    break

@@ -20,11 +20,12 @@ from .messages import DELTA_KIND, JAM, DeltaFrame, Jam, Message
 from .network import (
     AdversaryView,
     CompiledRound,
+    HopBlock,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
 )
-from .shapes import BucketBlock, ScheduleShapeCache
+from .shapes import ScheduleShapeCache
 from .trace import ExecutionTrace, RoundRecord, SparseDelivered
 from .metrics import NetworkMetrics, frame_size, payload_size
 from .export import channel_occupancy, dump_trace, trace_to_records
@@ -32,11 +33,11 @@ from .export import channel_occupancy, dump_trace, trace_to_records
 __all__ = [
     "Action",
     "AdversaryView",
-    "BucketBlock",
     "CompiledRound",
     "DELTA_KIND",
     "DeltaFrame",
     "ExecutionTrace",
+    "HopBlock",
     "JAM",
     "Jam",
     "Listen",

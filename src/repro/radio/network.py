@@ -21,7 +21,16 @@ schedule depends only on public history).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 from ..errors import ConfigurationError, ProtocolViolation
 from ..params import ProtocolParameters, DEFAULT_PARAMETERS, validate_model
@@ -85,28 +94,175 @@ class AdversaryView:
     meta: RoundMeta
 
 
+def hop_row(
+    positions: Iterable[int], width: int, offset: int = 0
+) -> Sequence[int]:
+    """One listener's hop row over a ``width``-channel block.
+
+    ``positions`` are shifted by ``offset`` (a listener that hops within
+    a sub-range of the block's channels draws indices into that range).
+    The row is ``bytes`` whenever the positions fit in a byte (every
+    radio channel count in practice): compact, and :func:`hop_hits` can
+    then test it against a round mask at C speed.  Wider blocks get a
+    tuple.
+    """
+    if width > 256:
+        return tuple(p + offset for p in positions)
+    row = bytes(positions)
+    if offset:
+        table = _SHIFT_TABLES.get(offset)
+        if table is None:
+            table = _SHIFT_TABLES[offset] = bytes(
+                (b + offset) & 0xFF for b in range(256)
+            )
+        row = row.translate(table)
+    return row
+
+
+# Translate tables built on first use: per offset, the one adding it to a
+# byte; per channel position, the one mapping it to 1 and all else to 0.
+_SHIFT_TABLES: dict[int, bytes] = {}
+_HIT_TABLES: dict[int, bytes] = {}
+
+
+def hop_hits(row: Sequence[int], position: int, mask: int) -> int:
+    """The rounds on which ``row`` sat on ``position`` *and* ``mask`` is set.
+
+    Round masks use one byte per round (byte ``r`` is ``1`` when round
+    ``r`` counts), little-endian, so the result's ``bit_count()`` is the
+    number of such rounds and its lowest set bit names the first one.
+    """
+    if type(row) is bytes:
+        table = _HIT_TABLES.get(position)
+        if table is None:
+            table = _HIT_TABLES[position] = bytes(
+                1 if b == position else 0 for b in range(256)
+            )
+        hits = row.translate(table)
+    else:
+        hits = bytes(1 if hop == position else 0 for hop in row)
+    return int.from_bytes(hits, "little") & mask
+
+
+@dataclass(slots=True)
+class HopBlock:
+    """``rounds`` consecutive rounds of one oblivious repetition loop.
+
+    The unit :meth:`RadioNetwork.execute_schedule` resolves.  Who
+    transmits is fixed for the whole block, and every listener hops on
+    private coins drawn before the block starts, so the block is a static
+    transmitter template plus a hop matrix:
+
+    Attributes
+    ----------
+    rounds:
+        Number of rounds the block covers.
+    transmits:
+        ``node -> Transmit``, identical in every round of the block.
+        Blocks may share one template mapping; the engine validates and
+        sizes each distinct mapping once per :meth:`~RadioNetwork.
+        execute_schedule` call.
+    channels:
+        The block's channel tuple.  Hop rows index into it, and a round's
+        result holds the decoded messages of exactly these channels.
+    listeners:
+        The listening nodes, in order.
+    hops:
+        One hop row per listener (see :func:`hop_row`): ``hops[i][r]`` is
+        the *position* in ``channels`` that ``listeners[i]`` listens on
+        in round ``r``.
+    meta:
+        Metadata of every round in the block.
+
+    A block is a value: build a new one rather than mutating one that a
+    schedule holds.  (It is not frozen only because frozen construction
+    costs several times more, and the engine converts every
+    :class:`CompiledRound` into a block.)
+    """
+
+    rounds: int
+    transmits: Mapping[int, Transmit]
+    channels: tuple[int, ...]
+    listeners: tuple[int, ...]
+    hops: tuple[Sequence[int], ...]
+    meta: RoundMeta
+
+    def round_actions(self, r: int) -> dict[int, Action]:
+        """Round ``r``'s per-node action map: the template's transmitters
+        first, then the listeners in order."""
+        actions: dict[int, Action] = dict(self.transmits)
+        listens = [Listen(channel) for channel in self.channels]
+        for node, row in zip(self.listeners, self.hops):
+            actions[node] = listens[row[r]]
+        return actions
+
+    def as_action_batches(self) -> list[tuple[dict[int, Action], RoundMeta]]:
+        """The classic ``(actions, meta)`` expansion of every round."""
+        return [(self.round_actions(r), self.meta) for r in range(self.rounds)]
+
+    def decoded_masks(
+        self,
+        heard: Sequence[Mapping[int, Message]],
+        classify: Callable[[Message], object],
+    ) -> list[tuple[int, object, int]]:
+        """Per channel position, the rounds that decoded an accepted frame.
+
+        ``heard`` is this block's slice of :meth:`RadioNetwork.
+        execute_schedule`'s result.  ``classify`` maps a decoded message
+        to a verdict (``None`` ignores it) and runs once per distinct
+        message object.  Returns ``(position, verdict, mask)`` for every
+        position and verdict seen, ``mask`` in the one-byte-per-round form
+        of :func:`hop_hits` — so whether a listener heard the frame is
+        ``hop_hits(row, position, mask)``, with no per-round listener walk.
+        """
+        position = {channel: p for p, channel in enumerate(self.channels)}
+        verdicts: dict[int, object] = {}
+        masks: dict[tuple[int, int], tuple[int, object, bytearray]] = {}
+        for r, decoded in enumerate(heard):
+            for channel, msg in decoded.items():
+                try:
+                    verdict = verdicts[id(msg)]
+                except KeyError:
+                    verdict = verdicts[id(msg)] = classify(msg)
+                if verdict is None:
+                    continue
+                key = (position[channel], id(verdict))
+                entry = masks.get(key)
+                if entry is None:
+                    entry = masks[key] = (key[0], verdict, bytearray(self.rounds))
+                entry[2][r] = 1
+        return [
+            (pos, verdict, int.from_bytes(bits, "little"))
+            for pos, verdict, bits in masks.values()
+        ]
+
+
+# Hop rows of one-round blocks, shared by every converted CompiledRound.
+_ONE_ROUND_ROWS = tuple(bytes((p,)) for p in range(256))
+
+
 @dataclass(frozen=True)
 class CompiledRound:
-    """One precompiled round of a :class:`RoundSchedule`.
+    """One precompiled round: the one-round case of a :class:`HopBlock`.
+
+    :class:`RoundSchedule` converts it with :meth:`as_block` on entry,
+    so the engine resolves both kinds through one loop.
 
     Attributes
     ----------
     transmits:
-        ``node -> Transmit``.  Rounds that share a *static transmitter
-        template* (e.g. the witnesses of one feedback slot, identical over
-        every repetition) may reference the **same** mapping object — the
-        engine validates each distinct mapping once, not once per round.
+        ``node -> Transmit``.  Rounds may share one mapping object (the
+        engine validates each distinct mapping once per call).
     listens:
-        ``channel -> ordered listener node ids``.  Grouping listeners by
-        channel is what makes lazy resolution possible: a channel's
-        delivery is computed once, silent channels cost nothing, and the
-        engine never touches individual listeners unless a trace record is
-        being built.
+        ``channel -> ordered listener node ids``.  The keys become the
+        block's channel tuple: the round's result holds the decoded
+        messages of exactly these channels, even those whose group is
+        empty.
     meta:
         Round metadata, exactly as for :meth:`RadioNetwork.execute_round`.
     listen_count:
-        Total listener count, precomputed so per-round metric bookkeeping
-        stays O(1) in the population size.
+        Total listener count; must equal the groups' total (checked on
+        conversion — build rounds with :meth:`make` to derive it).
     """
 
     transmits: Mapping[int, Transmit]
@@ -129,14 +285,35 @@ class CompiledRound:
             listen_count=sum(len(group) for group in listens.values()),
         )
 
-    def as_actions(self) -> dict[int, Action]:
-        """Expand into the per-node action map of the classic interface."""
-        actions: dict[int, Action] = dict(self.transmits)
-        for channel, group in self.listens.items():
-            listen = Listen(channel)
-            for node in group:
-                actions[node] = listen
-        return actions
+    def as_block(self) -> HopBlock:
+        """This round as a one-round :class:`HopBlock`.
+
+        Listeners keep their channel-group order, so the block's action
+        map lists the transmitters, then each group in channel order.
+        """
+        listens = self.listens
+        if len(listens) == 1:  # the common case: everyone on one channel
+            ((channel, group),) = listens.items()
+            listeners = tuple(group)
+            hops = (_ONE_ROUND_ROWS[0],) * len(listeners)
+        else:
+            grouped: list[int] = []
+            rows: list[Sequence[int]] = []
+            for pos, group in enumerate(listens.values()):
+                grouped += group
+                row = _ONE_ROUND_ROWS[pos] if pos < 256 else (pos,)
+                rows += (row,) * len(group)
+            listeners = tuple(grouped)
+            hops = tuple(rows)
+        if len(listeners) != self.listen_count:
+            raise ProtocolViolation(
+                f"compiled round declares listen_count={self.listen_count} "
+                f"but its groups hold {len(listeners)} listeners "
+                "(build rounds with CompiledRound.make)"
+            )
+        return HopBlock(
+            1, self.transmits, tuple(listens), listeners, hops, self.meta
+        )
 
 
 class RoundSchedule:
@@ -145,26 +322,31 @@ class RoundSchedule:
     Protocols whose round structure is *oblivious* — fixed repetition
     loops, deterministic sweeps, precomputed random hop sequences — compile
     the whole loop once and submit it through
-    :meth:`RadioNetwork.execute_schedule`.  The engine then resolves each
-    round at a cost proportional to the transmitters and the *touched*
-    channels, not to the population or the channel count: listeners are
-    settled per channel group, and a listener on a silent channel costs no
-    per-node work at all.
+    :meth:`RadioNetwork.execute_schedule`.  A schedule is a sequence of
+    :class:`HopBlock` entries (a multi-round loop with one template and a
+    hop matrix) and :class:`CompiledRound` entries (one round with
+    arbitrary transmitters).  ``rounds`` keeps the entries as submitted;
+    ``blocks`` holds them all as hop blocks, converted on entry, and is
+    what the engine resolves.  ``len()`` counts simulated rounds.
 
     A schedule is a plain value (picklable when its messages are), which is
     what makes it a unit of work that can later be fanned out to worker
     processes.
     """
 
-    __slots__ = ("rounds",)
+    __slots__ = ("rounds", "blocks")
 
-    def __init__(self, rounds: Iterable[CompiledRound]) -> None:
+    def __init__(self, rounds: Iterable["CompiledRound | HopBlock"]) -> None:
         self.rounds = tuple(rounds)
+        self.blocks = tuple(
+            entry if isinstance(entry, HopBlock) else entry.as_block()
+            for entry in self.rounds
+        )
 
     def __len__(self) -> int:
-        return len(self.rounds)
+        return sum(block.rounds for block in self.blocks)
 
-    def __iter__(self) -> Iterator[CompiledRound]:
+    def __iter__(self) -> Iterator["CompiledRound | HopBlock"]:
         return iter(self.rounds)
 
     def as_action_batches(
@@ -176,7 +358,9 @@ class RoundSchedule:
         subclasses that customise :meth:`RadioNetwork.execute_round`, and
         by equivalence tests.
         """
-        return [(cr.as_actions(), cr.meta) for cr in self.rounds]
+        return [
+            batch for block in self.blocks for batch in block.as_action_batches()
+        ]
 
 
 class RadioNetwork:
@@ -305,23 +489,23 @@ class RadioNetwork:
             meta=meta,
         )
 
+    @staticmethod
     def _decode_channels(
-        self,
         transmitters: Mapping[int, list],
-        adversary_channels: "set[int]",
-    ) -> tuple[dict[int, Message | None], int, int]:
+        adversary_channels: "Collection[int]",
+    ) -> tuple[dict[int, Message | None], int, int, int]:
         """Resolve every touched channel by the single-transmitter rule.
 
-        The one decode-and-account step shared by :meth:`execute_round`
-        and :meth:`execute_schedule` — exactly one decodable transmission
-        on a channel delivers it (counting a spoof when that transmission
-        was the adversary's), anything else is silence or a collision.
-        Returns ``(delivered, deliveries, spoofs)``; collisions are
-        counted directly on the metrics.
+        The one decode step shared by :meth:`execute_round` and
+        :meth:`execute_schedule` — exactly one decodable transmission on a
+        channel delivers it (counting a spoof when that transmission was
+        the adversary's), anything else is silence or a collision.
+        Returns ``(delivered, deliveries, spoofs, collisions)``.
         """
         delivered: dict[int, Message | None] = {}
         deliveries = 0
         spoofs = 0
+        collisions = 0
         for channel, payloads in transmitters.items():
             if len(payloads) == 1 and isinstance(payloads[0], Message):
                 delivered[channel] = payloads[0]
@@ -333,8 +517,8 @@ class RadioNetwork:
             else:
                 delivered[channel] = None
                 if len(payloads) >= 2:
-                    self.metrics.collisions += 1
-        return delivered, deliveries, spoofs
+                    collisions += 1
+        return delivered, deliveries, spoofs, collisions
 
     def execute_round(
         self,
@@ -394,11 +578,12 @@ class RadioNetwork:
             adversary_channels.add(tx.channel)
             transmitters.setdefault(tx.channel, []).append(tx.payload)
 
-        delivered, deliveries, spoofs = self._decode_channels(
+        delivered, deliveries, spoofs, collisions = self._decode_channels(
             transmitters, adversary_channels
         )
 
         # Bookkeeping.
+        self.metrics.collisions += collisions
         self.metrics.rounds += 1
         self.metrics.honest_transmissions += honest_tx
         self.metrics.listens += listens
@@ -449,20 +634,25 @@ class RadioNetwork:
         A precompiled :class:`RoundSchedule` is also accepted: it runs
         through the :meth:`execute_schedule` fast path and the per-channel
         results are expanded back into the same per-listener dicts this
-        method always returns, so the result contract is shape-stable
-        regardless of the submission style.  Callers wanting the raw
-        channel-level results (no per-listener fan-out cost) use
+        method always returns (one per simulated round, every listener of
+        the round's block included), so the result contract is
+        shape-stable regardless of the submission style.  Callers wanting
+        the raw channel-level results (no per-listener fan-out cost) use
         :meth:`execute_schedule` directly.
         """
         if isinstance(batch, RoundSchedule):
+            heard_per_round = iter(self.execute_schedule(batch))
             out: list[dict[int, Message | None]] = []
-            for cr, heard in zip(batch.rounds, self.execute_schedule(batch)):
-                results: dict[int, Message | None] = {}
-                for channel, group in cr.listens.items():
-                    msg = heard.get(channel)
-                    for node in group:
-                        results[node] = msg
-                out.append(results)
+            for block in batch.blocks:
+                channels = block.channels
+                for r in range(block.rounds):
+                    heard = next(heard_per_round)
+                    out.append(
+                        {
+                            node: heard.get(channels[row[r]])
+                            for node, row in zip(block.listeners, block.hops)
+                        }
+                    )
             return out
         execute = self.execute_round
         return [execute(actions, meta) for actions, meta in batch]
@@ -471,19 +661,22 @@ class RadioNetwork:
     # The compiled-schedule fast path.
     # ------------------------------------------------------------------
 
-    def _validate_compiled(
-        self, cr: CompiledRound, validated_transmits: set[int]
-    ) -> None:
-        """Validate one compiled round.
+    def _validate_block(self, block: HopBlock, checked: set[int]) -> None:
+        """Check one hop block against the model, once for all its rounds.
 
-        Transmitter maps shared across rounds (the static template of a
-        repetition loop) are validated once per :meth:`execute_schedule`
-        call, keyed by object identity — the schedule keeps them alive, so
-        ids are stable for the duration of the call.
+        Transmitter templates shared across blocks are checked once per
+        :meth:`execute_schedule` call, keyed by object identity (the
+        schedule keeps them alive, so ids are stable for the call).  The
+        rest holds for every round of the block at once: valid, distinct
+        channels; known listeners, each listed once and none of them
+        transmitting (the states the per-node action API cannot even
+        represent stay unrepresentable here); and one in-range hop per
+        listener per round.
         """
-        if id(cr.transmits) not in validated_transmits:
-            validated_transmits.add(id(cr.transmits))
-            for node, action in cr.transmits.items():
+        template = block.transmits
+        if id(template) not in checked:
+            checked.add(id(template))
+            for node, action in template.items():
                 if not 0 <= node < self.n:
                     raise ProtocolViolation(f"unknown node id {node}")
                 if not isinstance(action, Transmit):
@@ -496,168 +689,235 @@ class RadioNetwork:
                         f"node {node} used invalid channel {action.channel} "
                         f"(C={self.channels})"
                     )
-        listeners_seen: set[int] = set()
-        listener_total = 0
-        for channel, group in cr.listens.items():
-            if not 0 <= channel < self.channels:
-                raise ProtocolViolation(
-                    f"listeners grouped on invalid channel {channel} "
-                    f"(C={self.channels})"
-                )
-            if not group:
-                continue
-            # min/max and the set ops below run at C speed; only dig for
-            # the per-node culprit on failure.
-            if not (0 <= min(group) and max(group) < self.n):
-                bad = next(n for n in group if not 0 <= n < self.n)
-                raise ProtocolViolation(f"unknown node id {bad}")
-            listeners_seen.update(group)
-            listener_total += len(group)
-        # One action per node per round: a node may listen at most once and
-        # may not both transmit and listen (states the per-node action API
-        # cannot even represent must stay unrepresentable here too).
-        if len(listeners_seen) != listener_total:
+        channels = block.channels
+        width = len(channels)
+        if width and not (0 <= min(channels) and max(channels) < self.channels):
+            bad = next(c for c in channels if not 0 <= c < self.channels)
+            raise ProtocolViolation(
+                f"listeners grouped on invalid channel {bad} "
+                f"(C={self.channels})"
+            )
+        if width > 1 and len(set(channels)) != width:
+            raise ProtocolViolation(
+                f"hop block lists a channel twice: {channels}"
+            )
+        listeners = block.listeners
+        hops = block.hops
+        if len(hops) != len(listeners):
+            raise ProtocolViolation(
+                f"hop block has {len(hops)} hop rows for "
+                f"{len(listeners)} listeners"
+            )
+        if not listeners:
+            return
+        # min/max and the set ops run at C speed; only dig for the
+        # per-node culprit on failure.
+        if not (0 <= min(listeners) and max(listeners) < self.n):
+            bad = next(v for v in listeners if not 0 <= v < self.n)
+            raise ProtocolViolation(f"unknown node id {bad}")
+        listening = set(listeners)
+        if len(listening) != len(listeners):
             raise ProtocolViolation(
                 "compiled round schedules a node in two listener groups"
             )
-        if cr.listen_count != listener_total:
-            raise ProtocolViolation(
-                f"compiled round declares listen_count={cr.listen_count} "
-                f"but its groups hold {listener_total} listeners "
-                "(build rounds with CompiledRound.make)"
-            )
-        if cr.transmits and not listeners_seen.isdisjoint(cr.transmits):
-            bad = sorted(listeners_seen & set(cr.transmits))[0]
+        if template and not listening.isdisjoint(template):
+            bad = sorted(listening & set(template))[0]
             raise ProtocolViolation(
                 f"node {bad} is scheduled to both transmit and listen"
             )
+        rounds = block.rounds
+        if set(map(len, hops)) != {rounds}:
+            raise ProtocolViolation(
+                f"hop block of {rounds} rounds holds a hop row of another "
+                "length"
+            )
+        if not rounds:
+            return
+        try:
+            # Byte rows (the norm) hold no negative positions.
+            low, high = 0, max(b"".join(hops))
+        except TypeError:  # tuple rows of a wide block
+            low, high = min(map(min, hops)), max(map(max, hops))
+        if not 0 <= low <= high < width:
+            raise ProtocolViolation(
+                f"hop row names a channel position outside the block's "
+                f"{width} channels"
+            )
+
+    def _execute_schedule_per_round(
+        self, schedule: "RoundSchedule"
+    ) -> list[dict[int, Message]]:
+        """Resolve a schedule through an overridden :meth:`execute_round`.
+
+        Contract: like the base model, an override must resolve all
+        listeners on one channel identically (the radio medium has no
+        per-listener state); a channel's result is read from its first
+        listener, in channel-tuple order.  An override with per-listener
+        semantics must override :meth:`execute_schedule` too.
+        """
+        out: list[dict[int, Message]] = []
+        for block in schedule.blocks:
+            channels = block.channels
+            for r, (actions, meta) in enumerate(block.as_action_batches()):
+                results = self.execute_round(actions, meta)
+                first: dict[int, int] = {}
+                for node, row in zip(block.listeners, block.hops):
+                    first.setdefault(row[r], node)
+                heard: dict[int, Message] = {}
+                for pos in sorted(first):
+                    msg = results.get(first[pos])
+                    if msg is not None:
+                        heard[channels[pos]] = msg
+                out.append(heard)
+        return out
 
     def execute_schedule(
         self, schedule: "RoundSchedule"
     ) -> list[dict[int, Message]]:
-        """Resolve a precompiled :class:`RoundSchedule`.
+        """Resolve a precompiled :class:`RoundSchedule`, block by block.
 
-        Returns one dict per round mapping **channel** to the message
-        decoded on it, containing entries only for channels that (a) had at
-        least one scheduled listener and (b) delivered a message.  Callers
-        fan results out to their listeners themselves (they compiled the
-        listener groups, so they know them) — this is what lets a round
-        with ``n`` listeners on silent or collided channels resolve without
-        any per-listener work.
+        Returns one dict per simulated round mapping **channel** to the
+        message decoded on it, with entries only for channels of the
+        round's block that delivered a message.  Callers fan results out
+        to their listeners themselves (they built the hop matrix, so they
+        know it) — this is what lets a round with ``n`` listeners resolve
+        without any per-listener work.
 
-        Adversary interaction, metrics, the round cap, and trace retention
-        behave exactly as in :meth:`execute_round`: per-round records (with
-        full per-node action maps) are reconstructed whenever the trace is
-        retained, so traced executions are indistinguishable from the
-        per-round path.
+        Each block is validated once (:meth:`_validate_block`), its
+        transmitter template is grouped by channel, sized and resolved
+        once, and each round only patches that resolution on the
+        channels the adversary touched.  Adversary interaction, metrics, the
+        round cap, and trace retention behave exactly as in
+        :meth:`execute_round`: per-round records (with full per-node
+        action maps) are built whenever the trace is retained, so traced
+        executions are indistinguishable from the per-round path.
         """
         if type(self).execute_round is not RadioNetwork.execute_round:
             # A subclass customises round resolution (e.g. the
             # restricted-listening model): preserve its semantics by
-            # expanding each compiled round through the classic interface.
-            # Contract: like the base model, an override must resolve all
-            # listeners on one channel identically (the radio medium has
-            # no per-listener state); the channel-level result is read
-            # from the group's first listener.  An override with
-            # per-listener semantics must override this method too.
-            out: list[dict[int, Message]] = []
-            for cr in schedule.rounds:
-                results = self.execute_round(cr.as_actions(), cr.meta)
-                heard: dict[int, Message] = {}
-                for channel, group in cr.listens.items():
-                    if group:
-                        msg = results.get(group[0])
-                        if msg is not None:
-                            heard[channel] = msg
-                out.append(heard)
-            return out
+            # expanding every round through the classic interface.
+            return self._execute_schedule_per_round(schedule)
 
         validate = self.params.validate_actions
         meter_payloads = self.params.meter_payloads
-        validated_transmits: set[int] = set()
-        # Payload accounting per distinct transmitter template: a static
-        # template shared by every repetition of a transfer is sized once
-        # (same id-keyed caching as validation), so per-round bookkeeping
-        # stays O(1) even for large knowledge frames.
-        template_sizes: dict[int, int] = {}
+        checked: set[int] = set()
+        # Wire size per distinct frame object, keyed by identity like the
+        # template check (frames are immutable and the schedule keeps them
+        # alive): a frame repeated across rounds and blocks — a feedback
+        # template, an emulated-channel epoch — is sized once per call.
+        frame_sizes: dict[int, int] = {}
         keep_records = self._keep_trace or (
             self.adversary is not None and self.adversary.needs_history
         )
         max_rounds = self.params.max_rounds
         metrics = self.metrics
+        adversary = self.adversary
+        reusable_view = getattr(adversary, "reusable_view", False)
+        decode = self._decode_channels
         outputs: list[dict[int, Message]] = []
 
-        for cr in schedule.rounds:
-            if max_rounds is not None and self._round_index >= max_rounds:
-                raise ProtocolViolation(
-                    f"round cap exceeded ({max_rounds} rounds); "
-                    "likely a non-terminating configuration"
-                )
+        for block in schedule.blocks:
             if validate:
-                self._validate_compiled(cr, validated_transmits)
-
-            adversary_txs: list[Transmission] = []
-            if self.adversary is not None:
-                adversary_txs = list(
-                    self.adversary.act(self._adversary_view(cr.meta))
-                )
-                self._validate_adversary(adversary_txs)
-
-            # Channel resolution over touched channels only.
-            transmitters: dict[int, list[Message | Jam]] = {}
-            for action in cr.transmits.values():
-                transmitters.setdefault(action.channel, []).append(
-                    action.message
-                )
-            adversary_channels: set[int] = set()
-            for tx in adversary_txs:
-                adversary_channels.add(tx.channel)
-                transmitters.setdefault(tx.channel, []).append(tx.payload)
-
-            delivered, deliveries, spoofs = self._decode_channels(
-                transmitters, adversary_channels
+                self._validate_block(block, checked)
+            template = block.transmits
+            template_tx: dict[int, list[Message | Jam]] = {}
+            payload_units = 0
+            for action in template.values():
+                message = action.message
+                template_tx.setdefault(action.channel, []).append(message)
+                if meter_payloads:
+                    size = frame_sizes.get(id(message))
+                    if size is None:
+                        size = frame_sizes[id(message)] = frame_size(message)
+                    payload_units += size
+            listened = block.channels
+            meta = block.meta
+            # The template-only resolution, computed once per block.  A
+            # round the adversary leaves silent reuses it as is; a round it
+            # touches patches it channel by channel with the same
+            # single-transmitter rule: joining an honest transmitter makes
+            # a collision, a lone adversarial message is a spoof.
+            quiet, quiet_deliveries, _, quiet_collisions = decode(
+                template_tx, ()
             )
-
-            if meter_payloads:
-                payload_units = template_sizes.get(id(cr.transmits))
-                if payload_units is None:
-                    payload_units = sum(
-                        frame_size(action.message)
-                        for action in cr.transmits.values()
+            quiet_heard: dict[int, Message] = {}
+            for channel, msg in quiet.items():
+                if msg is not None and channel in listened:
+                    quiet_heard[channel] = msg
+            rounds = block.rounds
+            if max_rounds is not None and self._round_index + rounds > max_rounds:
+                rounds = max(0, max_rounds - self._round_index)
+            done = deliveries = spoofs = collisions = adversary_tx = 0
+            try:
+                for r in range(rounds):
+                    adversary_txs: list[Transmission] = []
+                    if adversary is not None:
+                        if r and reusable_view:
+                            # Same block, same meta: only the index moves.
+                            object.__setattr__(
+                                view, "round_index", self._round_index
+                            )
+                        else:
+                            view = self._adversary_view(meta)
+                        adversary_txs = list(adversary.act(view))
+                        self._validate_adversary(adversary_txs)
+                    delivered = quiet  # records copy it
+                    heard = dict(quiet_heard)
+                    deliveries += quiet_deliveries
+                    collisions += quiet_collisions
+                    if adversary_txs:
+                        delivered = dict(quiet)
+                        for tx in adversary_txs:
+                            channel = tx.channel
+                            honest = template_tx.get(channel)
+                            if honest is not None:
+                                if len(honest) == 1:
+                                    collisions += 1
+                                    if delivered[channel] is not None:
+                                        deliveries -= 1
+                                        delivered[channel] = None
+                                        heard.pop(channel, None)
+                            elif isinstance(tx.payload, Message):
+                                delivered[channel] = tx.payload
+                                deliveries += 1
+                                spoofs += 1
+                                if channel in listened:
+                                    heard[channel] = tx.payload
+                            else:
+                                delivered[channel] = None
+                        adversary_tx += len(adversary_txs)
+                    done += 1
+                    if keep_records:
+                        self.trace.append(
+                            RoundRecord(
+                                index=self._round_index,
+                                actions=block.round_actions(r),
+                                adversary_transmissions=tuple(adversary_txs),
+                                delivered=SparseDelivered(
+                                    delivered, self.channels
+                                ),
+                                meta=meta.as_dict(),
+                            )
+                        )
+                    self._round_index += 1
+                    outputs.append(heard)
+                if rounds < block.rounds:
+                    raise ProtocolViolation(
+                        f"round cap exceeded ({max_rounds} rounds); "
+                        "likely a non-terminating configuration"
                     )
-                    template_sizes[id(cr.transmits)] = payload_units
-            else:
-                payload_units = 0
-
-            metrics.rounds += 1
-            metrics.honest_transmissions += len(cr.transmits)
-            metrics.listens += cr.listen_count
-            metrics.payload_units += payload_units
-            metrics.adversary_transmissions += len(adversary_txs)
-            metrics.deliveries += deliveries
-            metrics.spoofs_delivered += spoofs
-            if cr.meta.phase:
-                metrics.note_phase(cr.meta.phase)
-
-            if keep_records:
-                self.trace.append(
-                    RoundRecord(
-                        index=self._round_index,
-                        actions=cr.as_actions(),
-                        adversary_transmissions=tuple(adversary_txs),
-                        delivered=SparseDelivered(delivered, self.channels),
-                        meta=cr.meta.as_dict(),
-                    )
-                )
-            self._round_index += 1
-
-            # Lazy listener settlement: only channels that both carried a
-            # decodable message and have listeners produce an entry.
-            heard: dict[int, Message] = {}
-            listens = cr.listens
-            if deliveries:
-                for channel, msg in delivered.items():
-                    if msg is not None and channel in listens:
-                        heard[channel] = msg
-            outputs.append(heard)
+            finally:
+                # Settle the block's counters for the rounds that ran —
+                # also when the round cap or an adversary cut it short.
+                if done:
+                    metrics.rounds += done
+                    metrics.honest_transmissions += done * len(template)
+                    metrics.listens += done * len(block.listeners)
+                    metrics.payload_units += done * payload_units
+                    metrics.adversary_transmissions += adversary_tx
+                    metrics.deliveries += deliveries
+                    metrics.spoofs_delivered += spoofs
+                    metrics.collisions += collisions
+                    if meta.phase:
+                        metrics.note_phase(meta.phase, done)
         return outputs

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from ..adversary.base import Adversary
 from ..fame.byzantine import BYZANTINE_REPORT_KIND
 from ..radio.actions import Transmit
 from ..radio.messages import Message, Transmission
-from ..radio.network import CompiledRound, RadioNetwork, RoundSchedule
+from ..radio.network import RadioNetwork, RoundSchedule
 
 __all__ = [
     "FrameInjector",
@@ -85,18 +86,9 @@ def crashed_sender(network: RadioNetwork):
     original = network.execute_schedule
 
     def stripped(schedule: RoundSchedule):
+        # Hop blocks and compiled rounds alike keep their listeners.
         return original(
-            RoundSchedule(
-                [
-                    CompiledRound(
-                        transmits={},
-                        listens=r.listens,
-                        meta=r.meta,
-                        listen_count=r.listen_count,
-                    )
-                    for r in schedule.rounds
-                ]
-            )
+            RoundSchedule(replace(entry, transmits={}) for entry in schedule)
         )
 
     network.execute_schedule = stripped
@@ -136,7 +128,7 @@ class RekeyEpochTap:
             return self.captured[self._replay_generation]
         if self._mode == "suppress":
             self._original(schedule)
-            return [{} for _ in schedule.rounds]
+            return [{} for _ in range(len(schedule))]
         heard = self._original(schedule)
         self.captured[meta.extra["generation"]] = heard
         return heard

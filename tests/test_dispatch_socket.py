@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -210,7 +211,19 @@ class _FakeWorker(threading.Thread):
     def run(self) -> None:
         from repro.experiments.workloads import run_trial
 
-        sock = socket.create_connection(("127.0.0.1", self.port), timeout=30)
+        # The coordinator binds from its own thread, which may not have
+        # run yet: retry the connect like the real worker does.
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                sock = socket.create_connection(
+                    ("127.0.0.1", self.port), timeout=30
+                )
+                break
+            except ConnectionRefusedError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.05)
         try:
             send_frame(
                 sock, {"kind": "hello", "protocol": self.protocol, "pid": 0}

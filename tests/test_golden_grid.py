@@ -1,0 +1,300 @@
+"""Golden fingerprints of whole seeded runs, replayed against the engine.
+
+Each case runs one workload — serial feedback, the parallel merge with
+delta or full frames, serial or parallel f-AME, or group-key
+establishment — on one seed against one adversary of the gallery, and
+hashes everything the run can observably produce:
+
+* the canonical trace (``keep_trace=True``: every action, every hop,
+  every adversary transmission and delivery);
+* the :class:`~repro.radio.metrics.NetworkMetrics`;
+* the result (output sets, f-AME outcomes, the group key and holders);
+* the post-run state of every stream in the run's
+  :class:`~repro.rng.RngRegistry` (the listener hop streams included);
+* the :class:`~repro.feedback.parallel.DeltaApplyState` counters of
+  delta merges.
+
+The digests in ``golden_grid.json`` were recorded on the per-round
+listener-bucket engine.  Any engine change must reproduce all of them;
+a mismatch means the change altered an execution, not just its speed.
+The feedback cases also replay through the routines' reference paths
+(``compiled=False`` and ``block_draws=False``), which must give the same
+digests, so the fingerprints outlive those paths.
+
+Regenerate (only when an execution is *meant* to change) with::
+
+    PYTHONPATH=src python tests/test_golden_grid.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.adversary import (
+    RandomJammer,
+    ReactiveJammer,
+    ScheduleAwareJammer,
+    SpoofingAdversary,
+    SweepJammer,
+)
+from repro.crypto.dh import TEST_GROUP_64
+from repro.extensions.restricted_listening import (
+    RestrictedListeningNetwork,
+    StickyEavesdropper,
+)
+from repro.fame import Regime, make_config, run_fame
+from repro.feedback.parallel import DeltaApplyState, run_parallel_feedback
+from repro.feedback.protocol import run_feedback
+from repro.feedback.witness import WitnessAssignment
+from repro.groupkey import establish_group_key
+from repro.radio.network import RadioNetwork
+from repro.rng import RngRegistry
+
+GOLDEN_PATH = Path(__file__).with_name("golden_grid.json")
+
+SEEDS = (3, 17)
+
+ADVERSARIES = {
+    "random": lambda seed: RandomJammer(random.Random(seed * 31 + 1)),
+    "sweep": lambda seed: SweepJammer(),
+    "reactive": lambda seed: ReactiveJammer(random.Random(seed * 31 + 2)),
+    "schedule-aware": lambda seed: ScheduleAwareJammer(
+        random.Random(seed * 31 + 3)
+    ),
+    "spoof": lambda seed: SpoofingAdversary(random.Random(seed * 31 + 4)),
+}
+
+
+def _canonical_trace(trace) -> list[str]:
+    return [
+        json.dumps(record, sort_keys=True, default=repr)
+        for record in trace.canonical_forms()
+    ]
+
+
+def _stream_states(rng: RngRegistry) -> list:
+    # Every stream the run created, keyed by name: pins the exact number
+    # of draws each listener (and every other consumer) took.
+    return sorted(
+        (key, stream.getstate()) for key, stream in rng._streams.items()
+    )
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _fingerprint_network(net, rng, result, extra=()) -> str:
+    return _digest(
+        _canonical_trace(net.trace),
+        repr(net.metrics),
+        result,
+        _stream_states(rng),
+        extra,
+    )
+
+
+def _serial_feedback(adversary, seed, **paths):
+    n, channels, t = 24, 3, 1
+    net = RadioNetwork(n, channels, t, adversary=adversary)
+    sets = tuple(tuple(range(s * 3, s * 3 + 3)) for s in range(4))
+    wa = WitnessAssignment(sets=sets, channels=(0, 1, 2))
+    flags = {w: (s % 3 != 1) for s, ws in enumerate(sets) for w in ws}
+    rng = RngRegistry(seed=seed)
+    out = run_feedback(net, wa, flags, list(range(n)), rng, **paths)
+    return _fingerprint_network(
+        net, rng, sorted((node, sorted(d)) for node, d in out.items())
+    )
+
+
+def _parallel_feedback(adversary, seed, delta, **paths):
+    n, channels, t = 30, 8, 2
+    net = RadioNetwork(n, channels, t, adversary=adversary)
+    witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
+    flags = {w: (s != 1) for s, ws in enumerate(witness_sets) for w in ws}
+    rng = RngRegistry(seed=seed)
+    state = DeltaApplyState() if delta else None
+    out = run_parallel_feedback(
+        net,
+        witness_sets,
+        flags,
+        list(range(n)),
+        rng,
+        delta_frames=delta,
+        delta_state=state,
+        **paths,
+    )
+    counters = (
+        ()
+        if state is None
+        else (
+            state.applications,
+            state.skips,
+            state.digest_mismatches,
+            state.resyncs,
+            sorted(
+                (node, sorted(map(repr, keys)))
+                for node, keys in state.applied.items()
+            ),
+        )
+    )
+    return _fingerprint_network(
+        net,
+        rng,
+        sorted((node, sorted(d)) for node, d in out.items()),
+        counters,
+    )
+
+
+def _fame_result(res) -> tuple:
+    return (
+        sorted((pair, repr(outcome)) for pair, outcome in res.outcomes.items()),
+        res.moves,
+        res.rounds,
+        res.divergence_events,
+        res.disagreeing_nodes,
+        sorted(res.claimed_cover),
+        sorted(res.starred),
+        sorted(res.surrogate_holders.items()),
+    )
+
+
+def _fame(adversary, seed, parallel):
+    if parallel:
+        n, channels, t = 40, 4, 1
+        config = make_config(n, channels, t, regime=Regime.SQUARED)
+    else:
+        n, channels, t = 20, 2, 1
+        config = make_config(n, channels, t, regime=Regime.BASE)
+    net = RadioNetwork(n, channels, t, adversary=adversary)
+    edges = [(i, i + n // 2) for i in range(4)] + [(n - 1, 0)]
+    rng = RngRegistry(seed=seed)
+    res = run_fame(net, edges, rng=rng, config=config)
+    return _fingerprint_network(net, rng, _fame_result(res))
+
+
+def _groupkey(adversary, seed):
+    net = RadioNetwork(18, 2, 1, adversary=adversary)
+    rng = RngRegistry(seed=seed)
+    res = establish_group_key(net, rng, group=TEST_GROUP_64)
+    return _fingerprint_network(
+        net,
+        rng,
+        (
+            None if res.group_key is None else res.group_key.hex(),
+            sorted(res.holders()),
+            sorted(
+                (v, None if k is None else k.hex())
+                for v, k in res.adopted.items()
+            ),
+            res.expected_leader,
+            res.part1_rounds,
+            res.part2_rounds,
+            res.part3_rounds,
+            res.part2_payload_units,
+        ),
+    )
+
+
+WORKLOADS = {
+    "feedback": _serial_feedback,
+    "parallel-delta": lambda adv, seed, **paths: _parallel_feedback(
+        adv, seed, True, **paths
+    ),
+    "parallel-full": lambda adv, seed, **paths: _parallel_feedback(
+        adv, seed, False, **paths
+    ),
+    "fame-serial": lambda adv, seed: _fame(adv, seed, False),
+    "fame-parallel": lambda adv, seed: _fame(adv, seed, True),
+    "groupkey": _groupkey,
+}
+
+# The workloads that call the feedback routines directly, whose reference
+# paths (kept as equivalence oracles) must reproduce the same digests.
+FEEDBACK_WORKLOADS = ("feedback", "parallel-delta", "parallel-full")
+REFERENCE_PATHS = {
+    "per-round": {"compiled": False},
+    "per-draw": {"block_draws": False},
+}
+
+
+def _restricted_feedback(seed, **paths):
+    """Serial feedback on the restricted-listening model: the engine's
+    ``execute_round`` fallback for customised networks."""
+    n, channels, t = 16, 3, 1
+    net = RestrictedListeningNetwork(n, channels, t, StickyEavesdropper([1]))
+    sets = tuple(tuple(range(s * 3, s * 3 + 3)) for s in range(3))
+    wa = WitnessAssignment(sets=sets, channels=(0, 1, 2))
+    flags = {w: (s != 1) for s, ws in enumerate(sets) for w in ws}
+    rng = RngRegistry(seed=seed)
+    out = run_feedback(net, wa, flags, list(range(n)), rng, **paths)
+    return _fingerprint_network(
+        net,
+        rng,
+        sorted((node, sorted(d)) for node, d in out.items()),
+        (
+            _canonical_trace(net.redacted_trace),
+            net.observed_channel_rounds,
+        ),
+    )
+
+
+def _cases() -> dict[str, object]:
+    cases: dict[str, object] = {}
+    for seed in SEEDS:
+        for workload, run in WORKLOADS.items():
+            for name, factory in ADVERSARIES.items():
+                cases[f"{workload}/{name}/{seed}"] = (
+                    lambda run=run, factory=factory, seed=seed, **paths: run(
+                        factory(seed), seed, **paths
+                    )
+                )
+        cases[f"restricted-feedback/sticky/{seed}"] = (
+            lambda seed=seed, **paths: _restricted_feedback(seed, **paths)
+        )
+    return cases
+
+
+CASES = _cases()
+
+
+def _golden() -> dict[str, str]:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_grid_covers_every_case():
+    assert sorted(_golden()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_case_matches_golden_fingerprint(case):
+    assert CASES[case]() == _golden()[case]
+
+
+@pytest.mark.parametrize("path", sorted(REFERENCE_PATHS))
+@pytest.mark.parametrize(
+    "case",
+    sorted(
+        c
+        for c in CASES
+        if c.split("/")[0] in FEEDBACK_WORKLOADS + ("restricted-feedback",)
+    ),
+)
+def test_reference_path_matches_golden_fingerprint(case, path):
+    assert CASES[case](**REFERENCE_PATHS[path]) == _golden()[case]
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration entry point
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_golden_grid.py --record")
+    GOLDEN_PATH.write_text(
+        json.dumps({case: run() for case, run in sorted(CASES.items())}, indent=1)
+        + "\n"
+    )
+    print(f"recorded {len(CASES)} fingerprints to {GOLDEN_PATH}")
