@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Collection, Sequence
 from ..errors import ConfigurationError
 from ..radio.messages import JAM, Transmission
 from .base import Adversary
+from .jammers import RandomJamPlanner
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..radio.network import AdversaryView
@@ -50,9 +51,16 @@ class ScheduleAwareJammer(Adversary):
     jam_feedback:
         When ``True``, also jam ``t`` random channels during rounds whose
         phase starts with ``"feedback"``, maximising listener delay.
+
+    Every move depends only on the round's public schedule and the
+    private stream, so the jammer plans each hop block on its first round
+    (see :attr:`~repro.adversary.base.Adversary.plans_blocks`): the
+    deterministic policies repeat one move for the whole block, and the
+    random draws are taken for every round of the block in a row.
     """
 
     reusable_view = True
+    plans_blocks = True
 
     def __init__(
         self,
@@ -70,6 +78,8 @@ class ScheduleAwareJammer(Adversary):
         self._policy = policy
         self._victims = frozenset(victims)
         self._jam_feedback = jam_feedback
+        self._planner = RandomJamPlanner(rng)
+        self._plan: Sequence[Sequence[Transmission]] = ()
 
     # ------------------------------------------------------------------
 
@@ -100,14 +110,32 @@ class ScheduleAwareJammer(Adversary):
         rest = sorted(c for c in in_use if not touches_victim(c))
         return (preferred + rest)[:budget]
 
-    def act(self, view: "AdversaryView") -> Sequence[Transmission]:
+    def _plan_block(
+        self, view: "AdversaryView"
+    ) -> Sequence[Sequence[Transmission]]:
+        rounds = view.block_rounds
         schedule = view.meta.schedule or {}
         in_use = list(schedule.get("channels_in_use", ()))
         if in_use:
+            if self._policy == "random":
+                return [
+                    tuple(
+                        Transmission(c, JAM)
+                        for c in self._pick_scheduled(view, in_use)
+                    )
+                    for _ in range(rounds)
+                ]
             targets = self._pick_scheduled(view, in_use)
-            return tuple(Transmission(c, JAM) for c in targets)
+            return (tuple(Transmission(c, JAM) for c in targets),) * rounds
         if self._jam_feedback and str(view.meta.phase).startswith("feedback"):
             budget = min(view.t, view.channels)
-            targets = self._rng.sample(range(view.channels), budget)
-            return tuple(Transmission(c, JAM) for c in targets)
-        return ()
+            return self._planner.plan(view.channels, budget, rounds)
+        return ((),) * rounds
+
+    def act(self, view: "AdversaryView") -> Sequence[Transmission]:
+        if not view.block_round:
+            self._plan = self._plan_block(view)
+        return self._plan[view.block_round]
+
+    def reset(self) -> None:
+        self._plan = ()

@@ -84,6 +84,12 @@ class AdversaryView:
         made in all completed rounds".
     meta:
         The current round's public metadata (phase, deterministic schedule).
+    block_round, block_rounds:
+        The round's index inside the hop block being resolved, and that
+        block's length after the round cap.  Only an adversary whose class
+        declares :attr:`~repro.adversary.base.Adversary.plans_blocks` sees
+        a block longer than one round; every other view (and every round
+        of :meth:`RadioNetwork.execute_round`) reads ``0`` and ``1``.
     """
 
     n: int
@@ -92,6 +98,8 @@ class AdversaryView:
     round_index: int
     history: ExecutionTrace
     meta: RoundMeta
+    block_round: int = 0
+    block_rounds: int = 1
 
 
 def hop_row(
@@ -435,7 +443,7 @@ class RadioNetwork:
                     f"node {node} submitted unknown action {action!r}"
                 )
 
-    def _validate_adversary(self, txs: list[Transmission]) -> None:
+    def _validate_adversary(self, txs: Sequence[Transmission]) -> None:
         seen: set[int] = set()
         for tx in txs:
             if not 0 <= tx.channel < self.channels:
@@ -454,31 +462,40 @@ class RadioNetwork:
 
     # ------------------------------------------------------------------
 
-    def _adversary_view(self, meta: RoundMeta) -> AdversaryView:
+    def _adversary_view(
+        self, meta: RoundMeta, block_round: int = 0, block_rounds: int = 1
+    ) -> AdversaryView:
         """The view handed to the adversary for the round about to resolve.
 
         Adversaries that declare :attr:`~repro.adversary.base.Adversary.
-        reusable_view` get **one** view object whose ``round_index`` and
-        ``meta`` are advanced in place each round (the population fields
-        are constant and ``history`` is the live trace, which mutates as
-        rounds complete) — removing the last per-round allocation on
-        adversarial hot paths.  Everyone else gets a fresh frozen view.
+        reusable_view` get **one** view object whose ``round_index``,
+        ``meta`` and block position are advanced in place each round (the
+        population fields are constant and ``history`` is the live trace,
+        which mutates as rounds complete) — removing the last per-round
+        allocation on adversarial hot paths.  Every field that varies is
+        set on every call, so a view last used inside a long block never
+        carries its ``block_round`` into a later round.  Everyone else gets
+        a fresh frozen view.
         """
         if getattr(self.adversary, "reusable_view", False):
             view = self._shared_view
             if view is None:
-                view = AdversaryView(
+                view = self._shared_view = AdversaryView(
                     n=self.n,
                     channels=self.channels,
                     t=self.t,
                     round_index=self._round_index,
                     history=self.trace,
                     meta=meta,
+                    block_round=block_round,
+                    block_rounds=block_rounds,
                 )
-                self._shared_view = view
             else:
-                object.__setattr__(view, "round_index", self._round_index)
-                object.__setattr__(view, "meta", meta)
+                set_field = object.__setattr__
+                set_field(view, "round_index", self._round_index)
+                set_field(view, "meta", meta)
+                set_field(view, "block_round", block_round)
+                set_field(view, "block_rounds", block_rounds)
             return view
         return AdversaryView(
             n=self.n,
@@ -487,6 +504,8 @@ class RadioNetwork:
             round_index=self._round_index,
             history=self.trace,
             meta=meta,
+            block_round=block_round,
+            block_rounds=block_rounds,
         )
 
     @staticmethod
@@ -813,6 +832,10 @@ class RadioNetwork:
         metrics = self.metrics
         adversary = self.adversary
         reusable_view = getattr(adversary, "reusable_view", False)
+        # Only a top-level adversary whose class plans blocks sees the
+        # block's length; a wrapper (and whatever it wraps) sees one-round
+        # blocks, because it may stop calling its inner strategy mid-block.
+        plans_blocks = getattr(type(adversary), "plans_blocks", False)
         decode = self._decode_channels
         outputs: list[dict[int, Message]] = []
 
@@ -847,19 +870,25 @@ class RadioNetwork:
             rounds = block.rounds
             if max_rounds is not None and self._round_index + rounds > max_rounds:
                 rounds = max(0, max_rounds - self._round_index)
+            horizon = rounds if plans_blocks else 1
             done = deliveries = spoofs = collisions = adversary_tx = 0
             try:
                 for r in range(rounds):
-                    adversary_txs: list[Transmission] = []
+                    adversary_txs: tuple[Transmission, ...] = ()
                     if adversary is not None:
                         if r and reusable_view:
-                            # Same block, same meta: only the index moves.
+                            # Same block, same meta: only the indices move.
                             object.__setattr__(
                                 view, "round_index", self._round_index
                             )
+                            if plans_blocks:
+                                object.__setattr__(view, "block_round", r)
                         else:
-                            view = self._adversary_view(meta)
-                        adversary_txs = list(adversary.act(view))
+                            view = self._adversary_view(
+                                meta, r if plans_blocks else 0, horizon
+                            )
+                        # A tuple passes through tuple() uncopied.
+                        adversary_txs = tuple(adversary.act(view))
                         self._validate_adversary(adversary_txs)
                     delivered = quiet  # records copy it
                     heard = dict(quiet_heard)
@@ -892,7 +921,7 @@ class RadioNetwork:
                             RoundRecord(
                                 index=self._round_index,
                                 actions=block.round_actions(r),
-                                adversary_transmissions=tuple(adversary_txs),
+                                adversary_transmissions=adversary_txs,
                                 delivered=SparseDelivered(
                                     delivered, self.channels
                                 ),

@@ -64,6 +64,19 @@ class TestRandomJammer:
         txs = adv.act(view(t=4, channels=5))
         assert len(txs) == 2
 
+    @pytest.mark.parametrize("t, expected", [(1, 1), (3, 2), (5, 3)])
+    def test_half_intensity_rounds_half_up(self, t, expected):
+        # Half a channel rounds up (never to even), and a positive
+        # intensity never silences the jammer.
+        adv = RandomJammer(random.Random(0), intensity=0.5)
+        txs = adv.act(view(t=t, channels=t + 1))
+        assert len(txs) == expected
+        assert_legal(txs, t, t + 1)
+
+    def test_small_intensity_still_jams_one_channel(self):
+        adv = RandomJammer(random.Random(0), intensity=0.01)
+        assert len(adv.act(view(t=5, channels=6))) == 1
+
     def test_invalid_intensity(self):
         with pytest.raises(ConfigurationError):
             RandomJammer(random.Random(0), intensity=0.0)

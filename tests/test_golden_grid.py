@@ -14,9 +14,17 @@ hashes everything the run can observably produce:
 * the :class:`~repro.feedback.parallel.DeltaApplyState` counters of
   delta merges.
 
-The digests in ``golden_grid.json`` were recorded on the per-round
-listener-bucket engine.  Any engine change must reproduce all of them;
-a mismatch means the change altered an execution, not just its speed.
+The first 62 digests in ``golden_grid.json`` were recorded on the
+per-round listener-bucket engine.  The rest were recorded on the hop-block
+engine, before oblivious jammers planned whole blocks and before the
+cipher kept per-key hash state: ``ScheduleAwareJammer`` with the
+``random`` and ``suffix`` policies on every workload, t=2 geometries,
+a ``BudgetAdversary`` that runs dry partway through a block, and
+``SecureSession`` runs (preshared and group mode: send, flush, drain,
+re-key) whose traces pin ciphertext bytes.  Those cases also hash the
+adversary's private stream after the run.  Any engine change must
+reproduce all of them; a mismatch means the change altered an
+execution, not just its speed.
 The feedback cases also replay through the routines' reference paths
 (``compiled=False`` and ``block_draws=False``), which must give the same
 digests, so the fingerprints outlive those paths.
@@ -37,6 +45,7 @@ from pathlib import Path
 import pytest
 
 from repro.adversary import (
+    BudgetAdversary,
     RandomJammer,
     ReactiveJammer,
     ScheduleAwareJammer,
@@ -55,6 +64,7 @@ from repro.feedback.witness import WitnessAssignment
 from repro.groupkey import establish_group_key
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
+from repro.service import SecureSession
 
 GOLDEN_PATH = Path(__file__).with_name("golden_grid.json")
 
@@ -217,11 +227,134 @@ WORKLOADS = {
 
 # The workloads that call the feedback routines directly, whose reference
 # paths (kept as equivalence oracles) must reproduce the same digests.
-FEEDBACK_WORKLOADS = ("feedback", "parallel-delta", "parallel-full")
+FEEDBACK_WORKLOADS = (
+    "feedback",
+    "feedback-t2",
+    "parallel-delta",
+    "parallel-full",
+)
 REFERENCE_PATHS = {
     "per-round": {"compiled": False},
     "per-draw": {"block_draws": False},
 }
+
+
+# Cases recorded later, on the hop-block engine, before oblivious jammers
+# planned whole blocks.  Their digests also pin the adversary's private
+# stream after the run, so a plan that draws more (or less) than the
+# rounds it covers shows up even when no round's moves change.
+PLANNED_ADVERSARIES = {
+    "schedule-aware-random": lambda rng: ScheduleAwareJammer(rng, policy="random"),
+    "schedule-aware-suffix": lambda rng: ScheduleAwareJammer(rng, policy="suffix"),
+}
+
+
+def _serial_feedback_t2(adversary, seed, **paths):
+    """Serial feedback at t=2: a random jammer draws two channels a round."""
+    n, channels, t = 30, 5, 2
+    net = RadioNetwork(n, channels, t, adversary=adversary)
+    sets = tuple(tuple(range(s * 5, s * 5 + 5)) for s in range(5))
+    wa = WitnessAssignment(sets=sets, channels=(0, 1, 2, 3, 4))
+    flags = {w: (s % 2 == 0) for s, ws in enumerate(sets) for w in ws}
+    rng = RngRegistry(seed=seed)
+    out = run_feedback(net, wa, flags, list(range(n)), rng, **paths)
+    return _fingerprint_network(
+        net, rng, sorted((node, sorted(d)) for node, d in out.items())
+    )
+
+
+def _groupkey_t2(adversary, seed):
+    net = RadioNetwork(34, 4, 2, adversary=adversary)
+    rng = RngRegistry(seed=seed)
+    res = establish_group_key(net, rng, group=TEST_GROUP_64)
+    return _fingerprint_network(
+        net,
+        rng,
+        (
+            None if res.group_key is None else res.group_key.hex(),
+            sorted(res.holders()),
+            res.part1_rounds,
+            res.part2_rounds,
+            res.part3_rounds,
+        ),
+    )
+
+
+def _service(adversary, seed, group_mode):
+    """A service session: send, flush, drain every inbox, re-key, send
+    again.  The trace pins every ciphertext the session put on the air."""
+    if group_mode:
+        net = RadioNetwork(18, 2, 1, adversary=adversary)
+        rng = RngRegistry(seed=seed)
+        session = SecureSession(net, rng, group=TEST_GROUP_64)
+    else:
+        net = RadioNetwork(8, 2, 1, adversary=adversary)
+        rng = RngRegistry(seed=seed)
+        session = SecureSession.from_preshared(
+            net, bytes(range(32)), range(8), rng
+        )
+    members = list(session.members)
+    for i, sender in enumerate(members[:5]):
+        session.send(sender, bytes([i]) * (7 * i + 1))
+    first = session.flush()
+    inboxes = [(m, session.inbox(m)) for m in members]
+    report = session.rekey([members[-1]])
+    session.send(session.members[0], b"after the re-key " * 3)
+    second = session.flush()
+    return _fingerprint_network(
+        net,
+        rng,
+        (
+            repr(first),
+            repr(inboxes),
+            repr(report),
+            repr(second),
+            repr(session.stats),
+            sorted(session.members),
+        ),
+    )
+
+
+# Rows recorded with the planned-adversary cases: each maps a case name
+# (workload/adversary) to ``(run, adversary factory)``.
+PLANNED_ROWS = {
+    "feedback-t2/random": (
+        _serial_feedback_t2,
+        lambda rng: RandomJammer(rng),
+    ),
+    "groupkey-t2/random": (_groupkey_t2, lambda rng: RandomJammer(rng)),
+    # A budget of 37 runs out partway through a feedback slot's block.
+    "feedback/budget-random": (
+        _serial_feedback,
+        lambda rng: BudgetAdversary(RandomJammer(rng), 37),
+    ),
+    "groupkey/budget-random": (
+        _groupkey,
+        lambda rng: BudgetAdversary(RandomJammer(rng), 1500),
+    ),
+    "service-preshared/random": (
+        lambda adv, seed: _service(adv, seed, False),
+        lambda rng: RandomJammer(rng),
+    ),
+    "service-preshared/schedule-aware": (
+        lambda adv, seed: _service(adv, seed, False),
+        lambda rng: ScheduleAwareJammer(rng),
+    ),
+    "service-group/random": (
+        lambda adv, seed: _service(adv, seed, True),
+        lambda rng: RandomJammer(rng),
+    ),
+    "service-group/schedule-aware": (
+        lambda adv, seed: _service(adv, seed, True),
+        lambda rng: ScheduleAwareJammer(rng),
+    ),
+}
+
+
+def _planned_case(run, factory, seed, **paths):
+    adversary_rng = random.Random(seed * 31 + 5)
+    digest = run(factory(adversary_rng), seed, **paths)
+    return _digest(digest, adversary_rng.getstate())
 
 
 def _restricted_feedback(seed, **paths):
@@ -258,6 +391,18 @@ def _cases() -> dict[str, object]:
         cases[f"restricted-feedback/sticky/{seed}"] = (
             lambda seed=seed, **paths: _restricted_feedback(seed, **paths)
         )
+        rows = {
+            f"{workload}/{name}": (run, factory)
+            for workload, run in WORKLOADS.items()
+            for name, factory in PLANNED_ADVERSARIES.items()
+        }
+        rows.update(PLANNED_ROWS)
+        for row, (run, factory) in rows.items():
+            cases[f"{row}/{seed}"] = (
+                lambda run=run, factory=factory, seed=seed, **paths: (
+                    _planned_case(run, factory, seed, **paths)
+                )
+            )
     return cases
 
 
