@@ -141,6 +141,10 @@ class ServeDaemon:
         except (BlockingIOError, OSError):
             return
         accepted.setblocking(False)
+        # Responses are small frames written while earlier ones may still
+        # be unacknowledged; with Nagle's algorithm on, each would wait for
+        # the client's next request or its delayed-ACK timer (~40 ms).
+        accepted.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._next_token += 1
         client = _Client(accepted, self._next_token)
         self._clients[accepted.fileno()] = client

@@ -394,6 +394,17 @@ class TestDaemonEndToEnd:
             send_frame(sock, {"kind": "list-sessions", "req": 6})
             assert recv_frame(sock)["kind"] == "session-list"
 
+    def test_accepted_connections_disable_nagle(self, daemon):
+        import socket as socket_mod
+
+        d, host, port = daemon
+        with ServiceClient(host, port, name="t") as client:
+            client.list_sessions()  # answered: the daemon has accepted
+            (accepted,) = [c.sock for c in d._clients.values()]
+            assert accepted.getsockopt(
+                socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY
+            )
+
     def test_clean_shutdown_acknowledged(self):
         d = ServeDaemon(seed=3)
         host, port = d.bind()
