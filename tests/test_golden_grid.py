@@ -36,6 +36,7 @@ Regenerate (only when an execution is *meant* to change) with::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -65,6 +66,8 @@ from repro.groupkey import establish_group_key
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 from repro.service import SecureSession
+
+run_fame_dense = functools.partial(run_fame, dense_actions=True)
 
 GOLDEN_PATH = Path(__file__).with_name("golden_grid.json")
 
@@ -175,7 +178,7 @@ def _fame_result(res) -> tuple:
     )
 
 
-def _fame(adversary, seed, parallel):
+def _fame(adversary, seed, parallel, run=run_fame):
     if parallel:
         n, channels, t = 40, 4, 1
         config = make_config(n, channels, t, regime=Regime.SQUARED)
@@ -185,7 +188,7 @@ def _fame(adversary, seed, parallel):
     net = RadioNetwork(n, channels, t, adversary=adversary)
     edges = [(i, i + n // 2) for i in range(4)] + [(n - 1, 0)]
     rng = RngRegistry(seed=seed)
-    res = run_fame(net, edges, rng=rng, config=config)
+    res = run(net, edges, rng=rng, config=config)
     return _fingerprint_network(net, rng, _fame_result(res))
 
 
@@ -223,6 +226,14 @@ WORKLOADS = {
     "fame-serial": lambda adv, seed: _fame(adv, seed, False),
     "fame-parallel": lambda adv, seed: _fame(adv, seed, True),
     "groupkey": _groupkey,
+}
+
+# f-AME on the dense reference engine, recorded separately because its
+# parallel merge ships full frames (so payload units differ); the serial
+# digests equal the ``fame-serial`` ones.
+DENSE_WORKLOADS = {
+    "fame-serial-dense": lambda adv, seed: _fame(adv, seed, False, run_fame_dense),
+    "fame-parallel-dense": lambda adv, seed: _fame(adv, seed, True, run_fame_dense),
 }
 
 # The workloads that call the feedback routines directly, whose reference
@@ -381,7 +392,7 @@ def _restricted_feedback(seed, **paths):
 def _cases() -> dict[str, object]:
     cases: dict[str, object] = {}
     for seed in SEEDS:
-        for workload, run in WORKLOADS.items():
+        for workload, run in {**WORKLOADS, **DENSE_WORKLOADS}.items():
             for name, factory in ADVERSARIES.items():
                 cases[f"{workload}/{name}/{seed}"] = (
                     lambda run=run, factory=factory, seed=seed, **paths: run(
