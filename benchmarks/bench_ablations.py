@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the reproduction's own design choices.
 
 A1 — the w.h.p. constants: sweeping ``feedback_factor`` shows why the
      default sits at 3.0 — smaller constants trade rounds for feedback

@@ -1,6 +1,6 @@
 """Shared helpers for the benchmark harness.
 
-Every paper table/figure has one module here (see DESIGN.md section 4).
+Every paper table/figure has one module here.
 Benchmarks print the regenerated rows with :func:`report` — run with
 ``pytest benchmarks/ --benchmark-only -s`` to see them — and attach the
 same numbers to ``benchmark.extra_info`` so they land in the JSON output.

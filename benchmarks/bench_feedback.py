@@ -5,21 +5,25 @@ Measures the radio-round cost of one full feedback invocation across a
 growth against the formula's shape, and verifies output correctness under
 a full-budget jammer on every run.
 
-Run ``PYTHONPATH=src python benchmarks/bench_feedback.py`` to measure the
-schedule-compiled pipeline against the per-round reference implementation
-(rounds/sec of wall time, identical seeded outputs asserted on every run)
-and regenerate ``benchmarks/BENCH_feedback.json``; ``--quick`` is the CI
-smoke mode (small n, non-zero exit if the n-max speedup drops below
-``--min-speedup``).
+Run ``PYTHONPATH=src:benchmarks python benchmarks/bench_feedback.py`` to
+measure the schedule-compiled pipeline against the per-round reference
+implementation (rounds/sec of wall time, identical seeded outputs asserted
+on every run) and regenerate ``benchmarks/BENCH_feedback.json``;
+``--quick`` is the CI smoke mode (small n, non-zero exit if the n-max
+speedup drops below ``--min-speedup``).  The per-round and full-frame
+references are the test-side oracles of ``tests/oracles/feedback.py``;
+this script puts ``tests/`` on ``sys.path`` to import them.
 
-The suite also measures the digest/delta wire encoding of the parallel
-merge (``delta_frames=True``, the default in the library) against the
-full-frame reference on a slots-heavy workload where knowledge frames
-actually grow: seeded delta==full equivalence of the ``D`` maps and round
-counts is asserted before any timing, then rounds/sec and per-invocation
-payload units are compared.  ``--delta`` runs only that comparison (the CI
-delta smoke), failing if the speedup drops below ``--min-delta-speedup``
-or the delta path stops shrinking payloads.
+The suite also measures the library's digest/delta wire encoding of the
+parallel merge against the full-frame oracle on a slots-heavy workload
+where knowledge frames actually grow: seeded delta==full equivalence of
+the ``D`` maps and round counts is asserted before any timing, then
+rounds/sec and per-invocation payload units are compared.  The full-frame
+oracle runs its transfers one ``execute_round`` per repetition, so the
+rounds/sec ratio also contains the hop-block gain; the payload units
+isolate the encoding.  ``--delta`` runs only that comparison (the CI delta
+smoke), failing if the speedup drops below ``--min-delta-speedup`` or the
+delta path stops shrinking payloads.
 
 ``--draws`` isolates the hop sampler itself: whole hop matrices drawn via
 :class:`repro.rng.BlockDrawer` against the historical sequential
@@ -36,6 +40,7 @@ import platform
 import random
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -50,6 +55,12 @@ from repro.radio import ScheduleShapeCache
 from repro.rng import BlockDrawer, RngRegistry, draw_uniform_indices
 
 from bench_common import make_network, report
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.feedback import (  # noqa: E402
+    per_round_transfers,
+    run_feedback_per_round,
+)
 
 
 def run_one(n, t, seed):
@@ -134,7 +145,10 @@ def test_e2_table(benchmark):
 
 
 def _serial_workload(n: int, t: int, seed: int, compiled: bool, shape_cache=None):
-    """One full serial feedback invocation; returns (rounds, D-map)."""
+    """One full serial feedback invocation; returns (rounds, D-map).
+
+    ``compiled=False`` runs the per-round oracle instead of the library.
+    """
     channels = t + 1
     net = make_network(
         n, channels, t, adversary=RandomJammer(random.Random(seed))
@@ -145,20 +159,27 @@ def _serial_workload(n: int, t: int, seed: int, compiled: bool, shape_cache=None
     )
     wa = WitnessAssignment(sets=sets, channels=tuple(range(channels)))
     flags = {w: (slot % 2 == 0) for slot, ws in enumerate(sets) for w in ws}
-    out = run_feedback(
-        net,
-        wa,
-        flags,
-        list(range(n)),
-        RngRegistry(seed=seed),
-        compiled=compiled,
-        shape_cache=shape_cache,
-    )
+    if compiled:
+        out = run_feedback(
+            net,
+            wa,
+            flags,
+            list(range(n)),
+            RngRegistry(seed=seed),
+            shape_cache=shape_cache,
+        )
+    else:
+        out = run_feedback_per_round(
+            net, wa, flags, list(range(n)), RngRegistry(seed=seed)
+        )
     return net.metrics.rounds, out
 
 
 def _parallel_workload(n: int, t: int, seed: int, compiled: bool, shape_cache=None):
-    """One full parallel-merge invocation; returns (rounds, D-map)."""
+    """One full parallel-merge invocation; returns (rounds, D-map).
+
+    ``compiled=False`` runs the transfers through the per-round oracle.
+    """
     block = 2 * t
     slots = 4
     channels = max(2 * t * t, (slots // 2) * block)
@@ -169,15 +190,15 @@ def _parallel_workload(n: int, t: int, seed: int, compiled: bool, shape_cache=No
         tuple(range(s * block, (s + 1) * block)) for s in range(slots)
     ]
     flags = {w: (s != 1) for s, ws in enumerate(witness_sets) for w in ws}
-    out = run_parallel_feedback(
-        net,
-        witness_sets,
-        flags,
-        list(range(n)),
-        RngRegistry(seed=seed),
-        compiled=compiled,
-        shape_cache=shape_cache,
-    )
+    with nullcontext() if compiled else per_round_transfers():
+        out = run_parallel_feedback(
+            net,
+            witness_sets,
+            flags,
+            list(range(n)),
+            RngRegistry(seed=seed),
+            shape_cache=shape_cache,
+        )
     return net.metrics.rounds, out
 
 
@@ -193,7 +214,8 @@ def _delta_workload(n: int, t: int, seed: int, delta: bool):
     delta encoding pays one in-place application plus O(1) skips.  Action
     validation is gated off (the PR 1 benchmark fast path, as in
     bench_engine) so the measurement concentrates on the merge itself.
-    Returns ``(rounds, D-map, payload_units)``.
+    ``delta=False`` runs the full-frame oracle.  Returns ``(rounds, D-map,
+    payload_units)``.
     """
     block = 2 * t
     slots = 32
@@ -209,14 +231,10 @@ def _delta_workload(n: int, t: int, seed: int, delta: bool):
         tuple(range(s * block, (s + 1) * block)) for s in range(slots)
     ]
     flags = {w: (s % 4 != 1) for s, ws in enumerate(witness_sets) for w in ws}
-    out = run_parallel_feedback(
-        net,
-        witness_sets,
-        flags,
-        list(range(n)),
-        RngRegistry(seed=seed),
-        delta_frames=delta,
-    )
+    with nullcontext() if delta else per_round_transfers(full_frames=True):
+        out = run_parallel_feedback(
+            net, witness_sets, flags, list(range(n)), RngRegistry(seed=seed)
+        )
     return net.metrics.rounds, out, net.metrics.payload_units
 
 
@@ -479,8 +497,8 @@ def main(argv: list[str] | None = None) -> int:
                 "parallel": "4 witness sets of 2t, C=2t^2 channels, "
                 "RandomJammer (see _parallel_workload)",
                 "delta": "32 witness sets of 2t (frames grow to 32 slots), "
-                "C=32t channels, RandomJammer, validation gated off; delta "
-                "vs full-frame wire encoding, both compiled "
+                "C=32t channels, RandomJammer, validation gated off; the "
+                "library's delta merge vs the per-round full-frame oracle "
                 "(see _delta_workload)",
                 "draws": "isolated hop sampling: 64 hops per stream over "
                 "t+1 channels for n streams, block drawer vs sequential "

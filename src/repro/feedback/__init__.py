@@ -15,8 +15,8 @@ merge used when ``C >= 2t^2``, reducing a full invocation to
 
 Schedule compilation
 --------------------
-Both routines execute, by default, as **compiled schedules** rather than
-per-round loops.  The key observation is that Figure 1's repetition loop is
+Both routines execute as **compiled schedules** rather than per-round
+loops.  The key observation is that Figure 1's repetition loop is
 *oblivious* in the paper's own sense: nothing a node transmits or tunes to
 during the phase depends on anything observed during the phase.  The
 witness of rank ``i`` occupies feedback channel ``i`` in every repetition
@@ -38,17 +38,20 @@ order, and per-round resolution follows the identical single-transmitter
 decode rule.  Every probabilistic event in Lemma 5's Chernoff argument —
 "listener hears the active slot's witness in one repetition with
 probability ``>= (C-t)/C``" — therefore has exactly the same distribution,
-and seeded runs of the compiled and per-round paths are byte-identical
-(enforced by ``tests/test_feedback_pipeline.py``).
+and seeded runs of the compiled routines and of the historical per-round
+loops, kept as oracles in ``tests/oracles/feedback.py``, are
+byte-identical (enforced by ``tests/test_feedback_pipeline.py`` and the
+golden grid).
 
 Wire encoding
 -------------
-The parallel merge additionally ships its knowledge frames, by default, in
-the digest/delta encoding of :class:`~repro.radio.messages.DeltaFrame`
-(``delta_frames=False`` restores the historical full-frame payloads);
+The parallel merge ships its knowledge frames in the digest/delta encoding
+of :class:`~repro.radio.messages.DeltaFrame`.  The historical full-frame
+payloads survive as an oracle in ``tests/oracles/feedback.py``;
 ``tests/test_feedback_delta.py`` is the differential gauntlet proving the
-two encodings indistinguishable — identical ``D`` maps, metrics, and
-semantically identical traces — under the whole adversary gallery.
+two encodings indistinguishable — identical ``D`` maps, metrics bar the
+payload counter, and semantically identical traces — under the whole
+adversary gallery.
 """
 
 from .witness import WitnessAssignment, rank

@@ -9,7 +9,7 @@ depth ``O(log C')`` and each level costs ``O(log n)`` rounds, for
 ``O(log^2 n)`` total.  A final dissemination stage broadcasts the fully
 merged flag set to every participant.
 
-Reconstruction note (documented in DESIGN.md): the paper assigns each pair
+Reconstruction note: the paper assigns each pair
 "a unique set of t channels", but a ``t``-channel block can be fully jammed
 by the budget-``t`` adversary, deterministically stalling that pair.  We
 assign ``2t``-channel blocks instead — the capacity ``C >= 2t^2`` admits
@@ -22,25 +22,24 @@ which is what keeps spoofing impossible).
 
 Wire format
 -----------
-Knowledge frames come in two encodings:
+Knowledge frames are digest/delta frames
+(:class:`~repro.radio.messages.DeltaFrame`, kind
+:data:`~repro.radio.messages.DELTA_KIND`, mirroring the Section 5.6 digest
+pipeline): a digest of the frame's slot coverage plus only the true-flag
+slots — the only entries that can ever enter an output set ``D``.
+Receivers keep per-listener applied-digest state (:class:`DeltaApplyState`):
+a frame whose digest was already applied is skipped in O(1), a fresh frame
+is verified against its digest and its delta applied in place, and a digest
+mismatch falls back to the frame's embedded full-frame items (the resync
+escape hatch) or drops the frame.
 
-* the historical **full frame** (``MERGE_KIND``): the whole ``slot -> flag``
-  map, re-applied by every listener on every decode;
-* the default **digest/delta frame**
-  (:class:`~repro.radio.messages.DeltaFrame`, kind
-  :data:`~repro.radio.messages.DELTA_KIND`, mirroring the Section 5.6
-  digest pipeline): a digest of the frame's slot coverage plus only the
-  true-flag slots — the only entries that can ever enter an output set
-  ``D``.  Receivers keep per-listener applied-digest state
-  (:class:`DeltaApplyState`): a frame whose digest was already applied is
-  skipped in O(1), a fresh frame is verified against its digest and its
-  delta applied in place, and a digest mismatch falls back to the frame's
-  embedded full-frame items (the resync escape hatch) or drops the frame.
-  ``delta_frames=False`` keeps the full-frame reference path; seeded runs
-  of the two encodings produce identical ``D`` maps, radio metrics (bar
-  the payload-size counter the delta shrinks), and semantically identical
-  traces under every adversary — ``tests/test_feedback_delta.py`` is the
-  differential gauntlet enforcing that.
+The historical full-frame encoding (the whole ``slot -> flag`` map in every
+frame) and the one-``execute_round``-per-repetition transfer loop live on
+as equivalence oracles in ``tests/oracles/feedback.py``.  Seeded runs of
+the two encodings produce identical ``D`` maps, radio metrics (bar the
+payload-size counter the delta shrinks), and semantically identical traces
+under every adversary — ``tests/test_feedback_delta.py`` is the
+differential gauntlet enforcing that.
 """
 
 from __future__ import annotations
@@ -49,21 +48,17 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
-from ..radio.actions import Action, Listen, Transmit
+from ..radio.actions import Transmit
 from ..radio.messages import DELTA_KIND, DeltaFrame, Message
 from ..radio.network import (
     HopBlock,
     RadioNetwork,
-    RoundMeta,
     RoundSchedule,
     hop_hits,
     hop_row,
 )
 from ..radio.shapes import ScheduleShapeCache
-from ..rng import BlockDrawer, RngRegistry, draw_uniform_indices
-
-MERGE_KIND = "feedback-merge"
-
+from ..rng import BlockDrawer, RngRegistry
 
 
 @dataclass
@@ -74,14 +69,13 @@ class _Group:
     ``knowledge``: the true-flag slots in ascending order (the merge tree
     pairs adjacent groups, so concatenation preserves order) and the
     incremental slot-set digest over them.  Both are maintained in O(1)
-    per merge via :func:`~repro.fame.digests.combine_digests`; full-frame
-    runs leave them empty.
+    per merge via :func:`~repro.fame.digests.combine_digests`.
     """
 
     members: tuple[int, ...]
     knowledge: dict[int, bool]  # slot -> flag
-    true_slots: tuple[int, ...] = ()
-    digest: bytes = b""
+    true_slots: tuple[int, ...]
+    digest: bytes
 
 
 class DeltaApplyState:
@@ -90,7 +84,7 @@ class DeltaApplyState:
     One instance lives for one :func:`run_parallel_feedback` invocation and
     tracks, per listener, which frame digests have already been applied —
     the *applied-epoch* set that turns the O(frame) per-decode
-    ``dict.update`` of the full-frame encoding into an O(1) skip after the
+    ``dict.update`` of a full-frame encoding into an O(1) skip after the
     first application.  Frame verification (hashing the delta and checking
     it against the frame's digest) is cached per frame value, so it happens
     once per transfer, not once per listener or per repetition.
@@ -171,114 +165,14 @@ class DeltaApplyState:
         self._verified[id(frame)] = (frame, verdict)
         return verdict
 
-    def fold(
-        self,
-        nodes: Sequence[int],
-        frame: DeltaFrame,
-        per_node_knowledge: dict[int, dict[int, bool]],
-    ) -> None:
-        """Fold one decoded frame into every listener of its channel.
-
-        Verification and the applied key are resolved once per decode,
-        each already-applied listener costs one set lookup, and a
-        first-time listener pays a single C-level ``dict.update`` of the
-        cached items.
-        """
-        verdict = self.resolve(frame)
-        if verdict is None:
-            return
-        key, items = verdict
-        applied = self.applied
-        skips = 0
-        applications = 0
-        for node in nodes:
-            seen = applied.get(node)
-            if seen is None:
-                seen = applied[node] = set()
-            elif key in seen:
-                skips += 1
-                continue
-            per_node_knowledge[node].update(items)
-            seen.add(key)
-            applications += 1
-        self.skips += skips
-        self.applications += applications
-
-    def apply(
-        self, node: int, frame: DeltaFrame, knowledge: dict[int, bool]
-    ) -> bool:
-        """Fold ``frame`` into ``node``'s knowledge; True iff it applied.
-
-        Single-listener form of :meth:`fold` (same verification, applied
-        keys, and counters), for callers holding a bare knowledge dict.
-        """
-        before = self.applications
-        self.fold((node,), frame, {node: knowledge})
-        return self.applications > before
-
-
-def _merge_frame(sender: int, tag: object, knowledge: Mapping[int, bool]) -> Message:
-    """A knowledge broadcast: the full (slot -> flag) map known so far."""
-    return Message(
-        kind=MERGE_KIND,
-        sender=sender,
-        payload=(tag, tuple(sorted(knowledge.items()))),
-    )
-
 
 def _delta_payload(group: _Group, tag: object) -> DeltaFrame:
     """The digest/delta encoding of ``group``'s knowledge for one transfer.
 
     Built once per transfer and shared by every broadcaster of the block
-    across every repetition — the full-frame path re-serializes the whole
-    map per broadcaster instead.
+    across every repetition.
     """
     return DeltaFrame(tag=tag, digest=group.digest, true_slots=group.true_slots)
-
-
-def _build_frame(
-    sender: int,
-    tag: object,
-    knowledge: Mapping[int, bool],
-    delta: DeltaFrame | None,
-) -> Message:
-    """One broadcaster's knowledge frame in the transfer's encoding."""
-    if delta is not None:
-        return Message(kind=DELTA_KIND, sender=sender, payload=delta)
-    return _merge_frame(sender, tag, knowledge)
-
-
-def _fold_channel(
-    received: Message,
-    tag: object,
-    listeners: Sequence[int],
-    per_node_knowledge: dict[int, dict[int, bool]],
-    delta_state: DeltaApplyState | None,
-) -> None:
-    """Fold one decoded channel's frame into its listeners' knowledge.
-
-    The receive path of the per-round loop, for both encodings: full
-    frames ``dict.update`` every listener, delta frames go through
-    :meth:`DeltaApplyState.fold` (O(1) when already applied).  The hop
-    block fold in :func:`_run_transfer_rounds` reaches the same state
-    without a per-round walk.
-    """
-    if delta_state is not None:
-        if received.kind != DELTA_KIND:
-            return
-        frame = received.payload
-        if not isinstance(frame, DeltaFrame) or frame.tag != tag:
-            return
-        delta_state.fold(listeners, frame, per_node_knowledge)
-        return
-    if received.kind != MERGE_KIND:
-        return
-    recv_tag, items = received.payload
-    if recv_tag != tag:
-        return
-    merged = dict(items)
-    for node in listeners:
-        per_node_knowledge[node].update(merged)
 
 
 def _run_transfer_rounds(
@@ -289,7 +183,7 @@ def _run_transfer_rounds(
             Sequence[int],
             Sequence[int],
             Mapping[int, bool],
-            DeltaFrame | None,
+            DeltaFrame,
         ]
     ],
     per_node_knowledge: dict[int, dict[int, bool]],
@@ -298,10 +192,8 @@ def _run_transfer_rounds(
     rng: RngRegistry,
     phase: str,
     rng_namespace: object,
-    compiled: bool = True,
-    delta_state: DeltaApplyState | None = None,
-    block_draws: bool = True,
-    shapes: ScheduleShapeCache | None = None,
+    delta_state: DeltaApplyState,
+    shapes: ScheduleShapeCache,
 ) -> None:
     """Run ``repetitions`` rounds of simultaneous directed transfers.
 
@@ -310,27 +202,24 @@ def _run_transfer_rounds(
     block channel is occupied by an honest broadcaster each round, so
     adversarial frames can only collide, never be decoded.  Listeners hop
     uniformly within their block and merge any knowledge frame with a
-    matching tag.  ``delta_payload`` is the prebuilt
-    :class:`~repro.radio.messages.DeltaFrame` when the invocation uses the
-    delta encoding (``delta_state`` set), ``None`` on the full-frame path.
+    matching tag.  ``delta_payload`` is the transfer's prebuilt
+    :class:`~repro.radio.messages.DeltaFrame`; ``knowledge`` is the source
+    group's whole ``slot -> flag`` map, which this path does not put on
+    the air (the full-frame oracle in ``tests/oracles/feedback.py`` does).
 
-    The repetition loop is oblivious, so the default path submits it as
-    one :class:`~repro.radio.network.HopBlock`: the broadcaster assignment
-    is its static template (each knowledge frame built once, not once per
+    The repetition loop is oblivious, so it is submitted as one
+    :class:`~repro.radio.network.HopBlock`: the broadcaster assignment is
+    its static template (each knowledge frame built once, not once per
     repetition — the frames of one transfer are identical across rounds),
     its channel tuple is the transfer blocks laid end to end, and each
     listener's hop row is its whole block-hop sequence, drawn in one
-    :class:`~repro.rng.BlockDrawer` call (``block_draws=False`` replays
-    the per-draw reference sampler — byte-identical either way) and
-    shifted to its transfer's positions.  The fold intersects each
-    channel's mask of rounds that decoded a matching frame with each
-    listener's hop row.  A listener applies a frame once, at the first
-    round it heard it, and every later hearing counts as a skip, so the
-    per-node application order and the :class:`DeltaApplyState` counters
-    are exactly those of the per-round fold.  Round metadata and stream
-    tables come from ``shapes`` (a fresh ephemeral cache when the caller
-    passes none).  ``compiled=False`` replays the historical per-round
-    loop; all paths are byte-identical on seeded runs.
+    :class:`~repro.rng.BlockDrawer` call and shifted to its transfer's
+    positions.  The fold intersects each channel's mask of rounds that
+    decoded a matching frame with each listener's hop row.  A listener
+    applies a frame once, at the first round it heard it, and every later
+    hearing counts as a skip, so the per-node application order and the
+    :class:`DeltaApplyState` counters are exactly those of a per-round
+    fold.  Round metadata and stream tables come from ``shapes``.
     """
     used_channels: set[int] = set()
     for broadcasters, _, block, _, _ in transfers:
@@ -346,22 +235,6 @@ def _run_transfer_rounds(
                 f"{len(block)}-channel block"
             )
 
-    if not compiled:
-        _transfer_rounds_per_round(
-            network,
-            transfers,
-            per_node_knowledge,
-            tag,
-            repetitions,
-            rng,
-            phase,
-            rng_namespace,
-            delta_state,
-        )
-        return
-
-    if shapes is None:
-        shapes = ScheduleShapeCache()
     channels = tuple(c for _, _, block, _, _ in transfers for c in block)
     width = len(channels)
     template: dict[int, Transmit] = {}
@@ -370,22 +243,17 @@ def _run_transfer_rounds(
     # Per transfer: its channel positions and its listeners' index range.
     spans: list[tuple[int, int, int, int]] = []
     offset = 0
-    for broadcasters, transfer_listeners, block, knowledge, delta in transfers:
+    for broadcasters, transfer_listeners, block, _, delta in transfers:
         for idx, channel in enumerate(block):
-            template[broadcasters[idx]] = Transmit(
-                channel,
-                _build_frame(broadcasters[idx], tag, knowledge, delta),
+            sender = broadcasters[idx]
+            template[sender] = Transmit(
+                channel, Message(kind=DELTA_KIND, sender=sender, payload=delta)
             )
         # Each listener's whole hop sequence in one draw (choice-stream
         # compatible; see the invariant in repro.rng), drawn as indices
         # within the transfer's block and shifted to its positions.
         nblock = len(block)
-        if block_draws:
-            draw = BlockDrawer(nblock).draw
-        else:
-            draw = lambda stream, count: draw_uniform_indices(  # noqa: E731
-                stream, nblock, count
-            )
+        draw = BlockDrawer(nblock).draw
         streams = shapes.streams(
             rng, rng_namespace, "merge-listen", transfer_listeners
         )
@@ -406,30 +274,20 @@ def _run_transfer_rounds(
 
     heard = network.execute_schedule(RoundSchedule([block]))
 
-    if delta_state is None:
-
-        def classify(received: Message) -> tuple | None:
-            if received.kind != MERGE_KIND:
-                return None
-            recv_tag, items = received.payload
-            return (items, dict(items)) if recv_tag == tag else None
-
-    else:
-
-        def classify(received: Message) -> tuple | None:
-            frame = received.payload
-            if (
-                received.kind != DELTA_KIND
-                or not isinstance(frame, DeltaFrame)
-                or frame.tag != tag
-            ):
-                return None
-            return delta_state.resolve(frame)
+    def classify(received: Message) -> tuple | None:
+        frame = received.payload
+        if (
+            received.kind != DELTA_KIND
+            or not isinstance(frame, DeltaFrame)
+            or frame.tag != tag
+        ):
+            return None
+        return delta_state.resolve(frame)
 
     masks = block.decoded_masks(heard, classify)
     if not masks:
         return
-    applied = None if delta_state is None else delta_state.applied
+    applied = delta_state.applied
     applications = skips = 0
     for lo, hi, first, last in spans:
         transfer_masks = [entry for entry in masks if lo <= entry[0] < hi]
@@ -455,16 +313,8 @@ def _run_transfer_rounds(
             if len(heard_keys) > 1:
                 ordered = sorted(ordered, key=lambda kv: kv[1][0])
             knowledge = per_node_knowledge[node]
-            if applied is None:
-                # Full frames: every frame of a transfer carries its source
-                # group's knowledge, so one update per distinct frame, in
-                # hearing order, leaves what the per-round updates leave.
-                for _, (_, _, items) in ordered:
-                    knowledge.update(items)
-                continue
-            # Delta frames, counted exactly as the per-round fold counts
-            # them: the first hearing of a key the node has not applied
-            # applies it, every other hearing is a skip.
+            # The first hearing of a key the node has not applied applies
+            # it, every other hearing is a skip.
             seen = applied.get(node)
             if seen is None:
                 seen = applied[node] = set()
@@ -476,51 +326,8 @@ def _run_transfer_rounds(
                 seen.add(key)
                 applications += 1
                 skips += count - 1
-    if delta_state is not None:
-        delta_state.applications += applications
-        delta_state.skips += skips
-
-
-def _transfer_rounds_per_round(
-    network: RadioNetwork,
-    transfers: Sequence[
-        tuple[
-            Sequence[int],
-            Sequence[int],
-            Sequence[int],
-            Mapping[int, bool],
-            DeltaFrame | None,
-        ]
-    ],
-    per_node_knowledge: dict[int, dict[int, bool]],
-    tag: object,
-    repetitions: int,
-    rng: RngRegistry,
-    phase: str,
-    rng_namespace: object,
-    delta_state: DeltaApplyState | None = None,
-) -> None:
-    """The historical reference loop — the equivalence oracle for the
-    compiled path (blocks already validated by the caller)."""
-    for _rep in range(repetitions):
-        actions: dict[int, Action] = {}
-        for broadcasters, listeners, block, knowledge, delta in transfers:
-            for idx, channel in enumerate(block):
-                actions[broadcasters[idx]] = Transmit(
-                    channel,
-                    _build_frame(broadcasters[idx], tag, knowledge, delta),
-                )
-            for node in listeners:
-                stream = rng.stream(rng_namespace, "merge-listen", node)
-                actions[node] = Listen(stream.choice(list(block)))
-        results = network.execute_round(
-            actions, RoundMeta(phase=phase, extra={"tag": tag})
-        )
-        for node, received in results.items():
-            if received is not None:
-                _fold_channel(
-                    received, tag, (node,), per_node_knowledge, delta_state
-                )
+    delta_state.applications += applications
+    delta_state.skips += skips
 
 
 def run_parallel_feedback(
@@ -533,35 +340,28 @@ def run_parallel_feedback(
     repetitions: int | None = None,
     phase: str = "feedback-parallel",
     rng_namespace: object = "feedback-parallel",
-    compiled: bool = True,
-    delta_frames: bool = True,
     delta_state: DeltaApplyState | None = None,
-    block_draws: bool = True,
     shape_cache: ScheduleShapeCache | None = None,
 ) -> dict[int, set[int]]:
     """Merge per-slot flags through a parallel-prefix tree; return each
     participant's ``D`` (slot indices whose flag is true).
 
-    Parameters mirror :func:`repro.feedback.protocol.run_feedback`
-    (including ``compiled``); here ``witness_sets[r]`` must contain at
-    least ``2t`` members, and the network must offer enough channels for
-    the first level's simultaneous blocks (guaranteed by ``C >= 2t^2``
-    when ``len(witness_sets) <= C/t``).
+    Parameters mirror :func:`repro.feedback.protocol.run_feedback`; here
+    ``witness_sets[r]`` must contain at least ``2t`` members, and the
+    network must offer enough channels for the first level's simultaneous
+    blocks (guaranteed by ``C >= 2t^2`` when ``len(witness_sets) <= C/t``).
 
-    ``delta_frames`` selects the wire encoding (see the module docstring):
-    the default ships digest/delta frames and tracks per-listener applied
-    digests; ``False`` keeps the historical full-frame path, which is the
-    reference the differential gauntlet compares against.  A caller may
-    pass its own (fresh) :class:`DeltaApplyState` to inspect the
-    apply/skip/resync counters afterwards; states are single-use — reuse
-    across invocations raises, because repeated digests would be skipped
-    as already applied — and by default one is created per invocation.
+    Knowledge travels in digest/delta frames (see the module docstring).
+    A caller may pass its own (fresh) :class:`DeltaApplyState` to inspect
+    the apply/skip/resync counters afterwards; states are single-use —
+    reuse across invocations raises, because repeated digests would be
+    skipped as already applied — and by default one is created per
+    invocation.
 
-    ``block_draws`` and ``shape_cache`` mirror :func:`run_feedback`:
-    batched vs per-draw hop sampling (byte-identical either way) and an
-    optional cross-invocation shape cache.  Within one invocation the
-    merge tree always shares one cache, so the per-level transfer rounds
-    reuse metadata and stream tables even when the caller passes none.
+    ``shape_cache`` mirrors :func:`run_feedback`: an optional
+    cross-invocation shape cache.  Within one invocation the merge tree
+    always shares one cache, so the per-level transfer rounds reuse
+    metadata and stream tables even when the caller passes none.
     """
     t = network.t
     block_size = max(1, 2 * t)
@@ -570,14 +370,11 @@ def run_parallel_feedback(
         return {node: set() for node in participants}
     shapes = shape_cache if shape_cache is not None else ScheduleShapeCache()
 
-    if delta_frames:
-        from ..fame.digests import combine_digests, slot_set_digest
+    from ..fame.digests import combine_digests, slot_set_digest
 
-        if delta_state is None:
-            delta_state = DeltaApplyState()
-        delta_state._claim()
-    else:
-        delta_state = None
+    if delta_state is None:
+        delta_state = DeltaApplyState()
+    delta_state._claim()
 
     groups: list[_Group] = []
     per_node_knowledge: dict[int, dict[int, bool]] = {}
@@ -594,11 +391,15 @@ def run_parallel_feedback(
                 f"witness set {r} missing or inconsistent flags"
             )
         flag = next(iter(flag_values))
-        group = _Group(members=members, knowledge={r: flag})
-        if delta_frames:
-            group.true_slots = (r,) if flag else ()
-            group.digest = slot_set_digest(group.true_slots)
-        groups.append(group)
+        true_slots = (r,) if flag else ()
+        groups.append(
+            _Group(
+                members=members,
+                knowledge={r: flag},
+                true_slots=true_slots,
+                digest=slot_set_digest(true_slots),
+            )
+        )
         for w in members:
             per_node_knowledge[w] = {r: flag}
     for node in participants:
@@ -639,7 +440,7 @@ def run_parallel_feedback(
                         dst.members,
                         block,
                         src.knowledge,
-                        _delta_payload(src, tag) if delta_frames else None,
+                        _delta_payload(src, tag),
                     )
                 )
             _run_transfer_rounds(
@@ -651,26 +452,24 @@ def run_parallel_feedback(
                 rng=rng,
                 phase=phase,
                 rng_namespace=(rng_namespace, level, direction),
-                compiled=compiled,
                 delta_state=delta_state,
-                block_draws=block_draws,
                 shapes=shapes,
             )
         next_groups: list[_Group] = []
         for left, right in pairs:
             merged_knowledge = dict(left.knowledge)
             merged_knowledge.update(right.knowledge)
-            merged = _Group(
-                members=left.members + right.members,
-                knowledge=merged_knowledge,
+            # Adjacent pairs cover adjacent slot ranges, so the
+            # concatenation stays sorted and the disjoint-union digest
+            # combines in O(1).
+            next_groups.append(
+                _Group(
+                    members=left.members + right.members,
+                    knowledge=merged_knowledge,
+                    true_slots=left.true_slots + right.true_slots,
+                    digest=combine_digests(left.digest, right.digest),
+                )
             )
-            if delta_frames:
-                # Adjacent pairs cover adjacent slot ranges, so the
-                # concatenation stays sorted and the disjoint-union digest
-                # combines in O(1).
-                merged.true_slots = left.true_slots + right.true_slots
-                merged.digest = combine_digests(left.digest, right.digest)
-            next_groups.append(merged)
         groups = next_groups + carry
         level += 1
 
@@ -688,7 +487,7 @@ def run_parallel_feedback(
                     outsiders,
                     block,
                     root.knowledge,
-                    _delta_payload(root, tag) if delta_frames else None,
+                    _delta_payload(root, tag),
                 )
             ],
             per_node_knowledge,
@@ -697,9 +496,7 @@ def run_parallel_feedback(
             rng=rng,
             phase=phase,
             rng_namespace=(rng_namespace, "final"),
-            compiled=compiled,
             delta_state=delta_state,
-            block_draws=block_draws,
             shapes=shapes,
         )
 

@@ -27,18 +27,20 @@ listener — in a single :class:`~repro.radio.network.RoundSchedule`, which
 :meth:`~repro.radio.network.RadioNetwork.execute_schedule` validates and
 resolves block by block.  Each listener draws its hops for every slot of
 the invocation in one :class:`~repro.rng.BlockDrawer` call (its stream is
-private, so the draws are the ones the per-round loop makes —
-byte-identical by the invariant in ``repro.rng``; ``block_draws=False``
-replays the per-draw sampler).  The result fold intersects each channel's
-mask of rounds that decoded ``<true, r>`` with each listener's hop row,
-so no per-round listener list is ever built.  Round metadata, transmitter
-templates and listener stream tables come from a
-:class:`~repro.radio.ScheduleShapeCache`, so long-lived callers reuse
-schedule *shape* across invocations.  ``compiled=False`` replays the
-historical one-``execute_round``-per-repetition loop; seeded runs of all
-paths are byte-identical (same RNG stream consumption, same metrics, same
-traces), which ``tests/test_feedback_pipeline.py`` and the golden
-fingerprints of ``tests/test_golden_grid.py`` enforce.
+private, so the draws are the ones a one-``choice``-per-repetition loop
+makes — byte-identical by the invariant in ``repro.rng``).  The result
+fold intersects each channel's mask of rounds that decoded ``<true, r>``
+with each listener's hop row, so no per-round listener list is ever
+built.  Round metadata, transmitter templates and listener stream tables
+come from a :class:`~repro.radio.ScheduleShapeCache`, so long-lived
+callers reuse schedule *shape* across invocations.
+
+The historical one-``execute_round``-per-repetition loop and the per-draw
+sampler live on as equivalence oracles in ``tests/oracles/feedback.py``;
+seeded runs of the oracles and of this path are byte-identical (same RNG
+stream consumption, same metrics, same traces), which
+``tests/test_feedback_pipeline.py`` and the golden fingerprints of
+``tests/test_golden_grid.py`` enforce.
 """
 
 from __future__ import annotations
@@ -46,18 +48,17 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
-from ..radio.actions import Action, Listen, Transmit
+from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
     HopBlock,
     RadioNetwork,
-    RoundMeta,
     RoundSchedule,
     hop_hits,
     hop_row,
 )
 from ..radio.shapes import ScheduleShapeCache
-from ..rng import BlockDrawer, RngRegistry, draw_uniform_indices
+from ..rng import BlockDrawer, RngRegistry
 from .witness import WitnessAssignment
 
 FEEDBACK_KIND = "feedback"
@@ -84,8 +85,6 @@ def run_feedback(
     repetitions: int | None = None,
     phase: str = "feedback",
     rng_namespace: object = "feedback",
-    compiled: bool = True,
-    block_draws: bool = True,
     shape_cache: ScheduleShapeCache | None = None,
 ) -> dict[int, set[int]]:
     """Execute one communication-feedback invocation.
@@ -113,19 +112,6 @@ def run_feedback(
         Phase label stamped on round metadata (adversaries can see it).
     rng_namespace:
         Disambiguates listener streams across multiple invocations.
-    compiled:
-        When ``True`` (default), compile the whole oblivious loop into one
-        :class:`~repro.radio.network.RoundSchedule` and execute it in bulk;
-        when ``False``, replay the historical per-round loop.  Both paths
-        are byte-identical on seeded runs.
-    block_draws:
-        When ``True`` (default), the compiled path materializes each
-        listener's hop sequence with the batched
-        :class:`~repro.rng.BlockDrawer`; ``False`` replays the per-draw
-        :func:`~repro.rng.draw_uniform_indices` chain (the reference
-        sampler).  Byte-identical either way — the escape hatch exists so
-        the equivalence gauntlets can exercise both samplers in situ.
-        Ignored when ``compiled=False``.
     shape_cache:
         Optional :class:`~repro.radio.shapes.ScheduleShapeCache` shared
         across invocations with the same geometry (templates, round
@@ -158,86 +144,19 @@ def run_feedback(
         )
 
     outputs: dict[int, set[int]] = {node: set() for node in participants}
-    if compiled:
-        _run_feedback_compiled(
-            network,
-            assignment,
-            flags,
-            participants,
-            rng,
-            repetitions,
-            phase,
-            rng_namespace,
-            outputs,
-            shape_cache if shape_cache is not None else ScheduleShapeCache(),
-            block_draws,
-        )
-    else:
-        _run_feedback_per_round(
-            network,
-            assignment,
-            flags,
-            participants,
-            rng,
-            repetitions,
-            phase,
-            rng_namespace,
-            outputs,
-        )
+    _run_feedback_compiled(
+        network,
+        assignment,
+        flags,
+        participants,
+        rng,
+        repetitions,
+        phase,
+        rng_namespace,
+        outputs,
+        shape_cache if shape_cache is not None else ScheduleShapeCache(),
+    )
     return outputs
-
-
-def _run_feedback_per_round(
-    network: RadioNetwork,
-    assignment: WitnessAssignment,
-    flags: Mapping[int, bool],
-    participants: Sequence[int],
-    rng: RngRegistry,
-    repetitions: int,
-    phase: str,
-    rng_namespace: object,
-    outputs: dict[int, set[int]],
-) -> None:
-    """The historical reference loop: one ``execute_round`` per repetition.
-
-    Kept verbatim as the equivalence oracle for the compiled pipeline (and
-    for callers that interleave feedback with non-oblivious behaviour).
-    """
-    channels = assignment.channels
-    for slot in range(assignment.slots):
-        witnesses = assignment.witnesses_of(slot)
-        witness_set = set(witnesses)
-        slot_flag = flags[witnesses[0]]
-        if slot_flag:
-            for w in witnesses:
-                outputs[w].add(slot)  # Figure 1 line 14
-        for _rep in range(repetitions):
-            actions: dict[int, Action] = {}
-            for node in participants:
-                if node in witness_set:
-                    # Rank-map reuse: the precomputed per-slot map replaces
-                    # the historical witnesses.index scan (same value, no
-                    # O(|witnesses|) lookup in the inner loop).
-                    channel = channels[assignment.rank_of(slot, node)]
-                    frame = (
-                        feedback_true(node, slot)
-                        if slot_flag
-                        else feedback_false(node, slot)
-                    )
-                    actions[node] = Transmit(channel, frame)
-                else:
-                    stream = rng.stream(rng_namespace, "listen", node)
-                    actions[node] = Listen(stream.choice(channels))
-            results = network.execute_round(
-                actions, RoundMeta(phase=phase, extra={"slot": slot})
-            )
-            for node, received in results.items():
-                if (
-                    received is not None
-                    and received.kind == FEEDBACK_KIND
-                    and received.payload == ("true", slot)
-                ):
-                    outputs[node].add(slot)
 
 
 def _run_feedback_compiled(
@@ -251,7 +170,6 @@ def _run_feedback_compiled(
     rng_namespace: object,
     outputs: dict[int, set[int]],
     shapes: ScheduleShapeCache,
-    block_draws: bool,
 ) -> None:
     """Run ``slots × repetitions`` as one hop block per slot, in bulk.
 
@@ -259,7 +177,7 @@ def _run_feedback_compiled(
     (rank map precomputed once — no ``witnesses.index`` in any inner loop)
     and the other participants listen.  Each listener draws its hops for
     every slot it listens in with **one** draw off its private stream;
-    slot-major order is exactly the order the per-round path consumes
+    slot-major order is exactly the order a per-round loop consumes
     that stream in, so seeded executions coincide bit for bit.  Its row
     for a slot is the matching slice.  The fold then asks each listener's
     row whether it sat on a channel in a round that decoded ``<true, r>``
@@ -271,12 +189,7 @@ def _run_feedback_compiled(
     nchan = len(channels)
     slots = assignment.slots
     streams = shapes.streams(rng, rng_namespace, "listen", participants)
-    if block_draws:
-        draw = BlockDrawer(nchan).draw
-    else:
-        draw = lambda stream, count: draw_uniform_indices(  # noqa: E731
-            stream, nchan, count
-        )
+    draw = BlockDrawer(nchan).draw
 
     # The slots each witness transmits in; everyone listens in the rest.
     busy: dict[int, set[int]] = {}

@@ -650,7 +650,7 @@ class RadioNetwork:
         :meth:`execute_round` — including adversary interaction per round —
         and the per-listener result dicts are returned in order.
 
-        A precompiled :class:`RoundSchedule` is also accepted: it runs
+        A prebuilt :class:`RoundSchedule` is also accepted: it runs
         through the :meth:`execute_schedule` fast path and the per-channel
         results are expanded back into the same per-listener dicts this
         method always returns (one per simulated round, every listener of
@@ -793,7 +793,7 @@ class RadioNetwork:
     def execute_schedule(
         self, schedule: "RoundSchedule"
     ) -> list[dict[int, Message]]:
-        """Resolve a precompiled :class:`RoundSchedule`, block by block.
+        """Resolve a prebuilt :class:`RoundSchedule`, block by block.
 
         Returns one dict per simulated round mapping **channel** to the
         message decoded on it, with entries only for channels of the

@@ -25,11 +25,10 @@ makes the bulk paths exchangeable with the naive ones:
     both ``choice`` and single-argument ``randrange``.
 
 :func:`draw_uniform_indices` (one rejection chain per draw),
-:class:`BlockDrawer` / :func:`draw_uniform_block` (one bulk
-``getrandbits(32 * shortfall)`` pull per pass — the same Mersenne-Twister
-words as that many single draws, since every ``getrandbits(k)`` with
-``k <= 32`` consumes exactly one 32-bit word — with values extracted and
-rejections dropped at C level) and a ``choice``/``randrange(n)`` loop
+:meth:`BlockDrawer.draw` (one bulk ``getrandbits(32 * shortfall)`` pull
+per pass — the same Mersenne-Twister words as that many single draws,
+since every ``getrandbits(k)`` with ``k <= 32`` consumes exactly one 32-bit
+word — with values extracted and rejections dropped at C level) and a ``choice``/``randrange(n)`` loop
 therefore consume **byte-identical** generator state and produce identical
 values: the block sampler pulls exactly ``remaining`` words per pass, and a
 pass can only reach ``remaining`` acceptances on its final word, so it can
@@ -333,14 +332,6 @@ class BlockDrawer:
         """One length-``count`` hop sequence per stream, in stream order."""
         draw = self.draw
         return [draw(stream, count) for stream in streams]
-
-
-def draw_uniform_block(
-    stream: random.Random, n: int, count: int
-) -> list[int]:
-    """Functional form of :meth:`BlockDrawer.draw`; byte-identical to
-    :func:`draw_uniform_indices` (see the module docstring's invariant)."""
-    return BlockDrawer(n).draw(stream, count)
 
 
 def sample_distinct(rng: random.Random, population: Sequence[T], k: int) -> list[T]:

@@ -10,7 +10,8 @@ per-round results, byte-identical metrics, canonically identical traces
 (explicit ``Sleep`` entries are semantically absent; see
 :meth:`repro.radio.trace.RoundRecord.canonical_form`), and identical
 ``FameResult``s; and the incremental greedy pools must reproduce the
-from-scratch pools move for move.
+from-scratch pools move for move.  The dense f-AME driver is the
+``DenseFameProtocol`` oracle of ``tests/oracles/fame.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.adversary import (
     SpoofingAdversary,
     SweepJammer,
 )
-from repro.fame import run_fame
+from repro.fame import Regime, make_config, run_fame
 from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyPools, greedy_proposal, proposal_pools
 from repro.params import ProtocolParameters
@@ -36,6 +37,8 @@ from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 
 from conftest import make_network
+from oracles.fame import run_fame_dense
+from oracles.feedback import metrics_except_payload, semantic_trace
 
 
 def _random_actions(rng: random.Random, n: int, channels: int) -> dict:
@@ -218,45 +221,45 @@ class TestGreedyPoolEquivalence:
         assert a.fingerprint != b.fingerprint
 
 
+FAME_ADVERSARIES = pytest.mark.parametrize(
+    "adversary_factory",
+    [
+        NullAdversary,
+        SweepJammer,
+        lambda: RandomJammer(random.Random(0xC)),
+        lambda: ScheduleAwareJammer(random.Random(0xD), policy="prefix"),
+        lambda: SpoofingAdversary(random.Random(0xE)),
+    ],
+    ids=["null", "sweep", "random", "schedule-aware", "spoof"],
+)
+
+
 class TestFameProtocolEquivalence:
-    """End-to-end: dense_actions=True replays the legacy engine exactly."""
+    """End-to-end: the dense oracle replays the legacy engine exactly."""
 
     EDGES = [(0, 1), (2, 3), (4, 5), (1, 6), (7, 8)]
 
-    def _pair(self, adversary_factory, *, n=20, channels=2, t=1, seed=5):
+    def _pair(
+        self, adversary_factory, *, n=20, channels=2, t=1, seed=5, config=None
+    ):
         results = []
-        traces = []
-        metrics = []
-        for dense in (False, True):
+        nets = []
+        for run in (run_fame, run_fame_dense):
             net = make_network(
                 n=n, channels=channels, t=t, adversary=adversary_factory()
             )
-            res = run_fame(
-                net,
-                self.EDGES,
-                rng=RngRegistry(seed=seed),
-                dense_actions=dense,
+            res = run(
+                net, self.EDGES, rng=RngRegistry(seed=seed), config=config
             )
             results.append(res)
-            traces.append(net.trace.canonical_forms())
-            metrics.append(net.metrics)
-        return results, traces, metrics
+            nets.append(net)
+        return results, nets
 
-    @pytest.mark.parametrize(
-        "adversary_factory",
-        [
-            NullAdversary,
-            SweepJammer,
-            lambda: RandomJammer(random.Random(0xC)),
-            lambda: ScheduleAwareJammer(random.Random(0xD), policy="prefix"),
-            lambda: SpoofingAdversary(random.Random(0xE)),
-        ],
-        ids=["null", "sweep", "random", "schedule-aware", "spoof"],
-    )
+    @FAME_ADVERSARIES
     def test_sparse_and_dense_runs_identical(self, adversary_factory):
-        (sparse, dense), (t_sparse, t_dense), (m_sparse, m_dense) = self._pair(
-            adversary_factory
-        )
+        (sparse, dense), nets = self._pair(adversary_factory)
+        t_sparse, t_dense = (net.trace.canonical_forms() for net in nets)
+        m_sparse, m_dense = (net.metrics for net in nets)
         assert sparse.summary() == dense.summary()
         assert sparse.outcomes == dense.outcomes
         assert sparse.claimed_cover == dense.claimed_cover
@@ -264,3 +267,27 @@ class TestFameProtocolEquivalence:
         assert sparse.surrogate_holders == dense.surrogate_holders
         assert m_sparse == m_dense
         assert t_sparse == t_dense
+
+    @FAME_ADVERSARIES
+    def test_sparse_and_dense_runs_match_in_parallel_regime(
+        self, adversary_factory
+    ):
+        """At ``C >= 2t^2`` the feedback phase is the parallel merge, and
+        the dense oracle ships full knowledge frames: everything matches
+        but the payload counter, which the delta frames shrink."""
+        n, channels, t = 40, 4, 1
+        config = make_config(n, channels, t, regime=Regime.SQUARED)
+        assert config.parallel_feedback
+        (sparse, dense), (s_net, d_net) = self._pair(
+            adversary_factory, n=n, channels=channels, t=t, config=config
+        )
+        assert sparse.summary() == dense.summary()
+        assert sparse.outcomes == dense.outcomes
+        assert sparse.claimed_cover == dense.claimed_cover
+        assert sparse.starred == dense.starred
+        assert sparse.surrogate_holders == dense.surrogate_holders
+        assert metrics_except_payload(s_net.metrics) == metrics_except_payload(
+            d_net.metrics
+        )
+        assert s_net.metrics.payload_units < d_net.metrics.payload_units
+        assert semantic_trace(s_net) == semantic_trace(d_net)

@@ -1,8 +1,9 @@
 """Differential gauntlet: digest/delta knowledge frames vs full frames.
 
-The parallel feedback merge ships, by default, digest/delta encoded
-knowledge frames (:class:`~repro.radio.messages.DeltaFrame`) instead of the
-historical full ``slot -> flag`` maps.  The optimisation obligation (after
+The parallel feedback merge ships digest/delta encoded knowledge frames
+(:class:`~repro.radio.messages.DeltaFrame`) instead of the historical full
+``slot -> flag`` maps, which survive as the full-frame oracle of
+``tests/oracles/feedback.py`` (per-round transfers).  The optimisation obligation (after
 Aspnes' formulation: an optimized exchange must be indistinguishable from
 the naive one under every adversary) is discharged here differentially:
 
@@ -12,8 +13,8 @@ the naive one under every adversary) is discharged here differentially:
   once both encodings are projected onto the knowledge they carry) — for
   the whole adversary gallery, including a protocol-aware delta-frame
   spoofer;
-* the compiled-schedule and per-round paths of the delta encoding are
-  byte-identical, like the full-frame paths before them;
+* the compiled-schedule path and the per-round oracle of the delta
+  encoding are byte-identical;
 * a digest mismatch either falls back to the frame's embedded full-frame
   resync payload or drops the frame without corrupting knowledge — both
   branches forced below, in-process and end-to-end through the radio.
@@ -22,7 +23,7 @@ the naive one under every adversary) is discharged here differentially:
 from __future__ import annotations
 
 import random
-from dataclasses import fields
+from contextlib import nullcontext
 
 import pytest
 
@@ -39,15 +40,17 @@ from repro.extensions.restricted_listening import (
     RestrictedListeningNetwork,
     StickyEavesdropper,
 )
-from repro.feedback.parallel import (
-    MERGE_KIND,
-    DeltaApplyState,
-    run_parallel_feedback,
-)
-from repro.radio.actions import Transmit
+from repro.feedback.parallel import DeltaApplyState, run_parallel_feedback
 from repro.radio.messages import DELTA_KIND, DeltaFrame, Message
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
+
+from oracles.feedback import (
+    apply,
+    metrics_except_payload,
+    per_round_transfers,
+    semantic_trace,
+)
 
 
 def _forge_delta(view, channel):
@@ -80,77 +83,31 @@ ADVERSARIES = {
 }
 
 
+def _transfers(*, delta, compiled):
+    """The library's hop blocks for delta frames when ``compiled``; the
+    per-round oracle otherwise, which is the only full-frame path."""
+    if delta and compiled:
+        return nullcontext()
+    return per_round_transfers(full_frames=not delta)
+
+
 def _run(adversary_factory, *, delta, compiled=True, seed=9, state=None):
     n, channels, t = 60, 8, 2
     net = RadioNetwork(n, channels, t, adversary=adversary_factory())
     witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
     flags = {w: (s != 1) for s, ws in enumerate(witness_sets) for w in ws}
     if state is None:
-        state = DeltaApplyState() if delta else None
-    out = run_parallel_feedback(
-        net,
-        witness_sets,
-        flags,
-        list(range(n)),
-        RngRegistry(seed=seed),
-        compiled=compiled,
-        delta_frames=delta,
-        delta_state=state,
-    )
-    return out, net, state
-
-
-def _knowledge_view(msg):
-    """Project a knowledge frame of either encoding onto what it *means*:
-    (sender claim, transfer tag, true-slot set).  Non-knowledge payloads
-    pass through unchanged."""
-    if not isinstance(msg, Message):
-        return msg
-    if msg.kind == MERGE_KIND:
-        tag, items = msg.payload
-        return ("knowledge", msg.sender, tag, frozenset(s for s, f in items if f))
-    if msg.kind == DELTA_KIND and isinstance(msg.payload, DeltaFrame):
-        frame = msg.payload
-        return ("knowledge", msg.sender, frame.tag, frozenset(frame.true_slots))
-    return msg
-
-
-def _semantic_trace(net):
-    """Canonical forms with knowledge frames normalized across encodings."""
-    out = []
-    for form in net.trace.canonical_forms():
-        actions = {}
-        for node, action in form["actions"].items():
-            if isinstance(action, Transmit):
-                actions[node] = (
-                    "tx",
-                    action.channel,
-                    _knowledge_view(action.message),
-                )
-            else:
-                actions[node] = action
-        out.append(
-            {
-                **form,
-                "actions": actions,
-                "delivered": {
-                    c: _knowledge_view(m) for c, m in form["delivered"].items()
-                },
-                "adversary": tuple(
-                    (tx.channel, _knowledge_view(tx.payload))
-                    for tx in form["adversary"]
-                ),
-            }
+        state = DeltaApplyState()
+    with _transfers(delta=delta, compiled=compiled):
+        out = run_parallel_feedback(
+            net,
+            witness_sets,
+            flags,
+            list(range(n)),
+            RngRegistry(seed=seed),
+            delta_state=state,
         )
-    return out
-
-
-def _metrics_except_payload(metrics):
-    return {
-        f.name: getattr(metrics, f.name)
-        for f in fields(metrics)
-        if f.name != "payload_units"
-    }
+    return out, net, state
 
 
 class TestDeltaVersusFullFrame:
@@ -162,14 +119,14 @@ class TestDeltaVersusFullFrame:
         full_out, full_net, _ = _run(factory, delta=False)
         delta_out, delta_net, state = _run(factory, delta=True)
         assert delta_out == full_out
-        assert _metrics_except_payload(
+        assert metrics_except_payload(
             delta_net.metrics
-        ) == _metrics_except_payload(full_net.metrics)
+        ) == metrics_except_payload(full_net.metrics)
         # The counter the encoding exists to shrink, and nothing else.
         assert (
             delta_net.metrics.payload_units < full_net.metrics.payload_units
         )
-        assert _semantic_trace(delta_net) == _semantic_trace(full_net)
+        assert semantic_trace(delta_net) == semantic_trace(full_net)
         # Honest frames always verify: the escape hatch stays cold.
         assert state.digest_mismatches == 0
         assert state.resyncs == 0
@@ -224,41 +181,41 @@ class TestDigestMismatchResync:
         good, _bad, _resync = self._frames()
         state = DeltaApplyState()
         knowledge: dict[int, bool] = {}
-        assert state.apply(7, good, knowledge)
+        assert apply(state, 7, good, knowledge)
         assert knowledge == {2: True, 5: True}
-        assert not state.apply(7, good, knowledge)
+        assert not apply(state, 7, good, knowledge)
         assert state.applications == 1 and state.skips == 1
 
     def test_mismatch_without_resync_payload_drops_the_frame(self):
         good, bad, _resync = self._frames()
         state = DeltaApplyState()
         knowledge: dict[int, bool] = {9: True}
-        assert not state.apply(7, bad, knowledge)
+        assert not apply(state, 7, bad, knowledge)
         assert knowledge == {9: True}  # untouched — no partial application
         assert state.digest_mismatches == 1 and state.resyncs == 0
         # The bad digest was not marked applied: a later well-formed frame
         # under the same digest key still lands (here: the good frame,
         # whose digest differs — and applying it works).
-        assert state.apply(7, good, knowledge)
+        assert apply(state, 7, good, knowledge)
         assert knowledge == {9: True, 2: True, 5: True}
 
     def test_mismatch_with_resync_payload_applies_full_items(self):
         _good, _bad, resync = self._frames()
         state = DeltaApplyState()
         knowledge: dict[int, bool] = {}
-        assert state.apply(7, resync, knowledge)
+        assert apply(state, 7, resync, knowledge)
         assert knowledge == {2: True, 4: False, 5: True}
         assert state.digest_mismatches == 1 and state.resyncs == 1
         # The resync frame (keyed by value, not by its untrustworthy
         # digest) is now applied for this node.
-        assert not state.apply(7, resync, knowledge)
+        assert not apply(state, 7, resync, knowledge)
         assert state.skips == 1
 
     def test_verification_is_cached_per_frame_not_per_listener(self):
         _good, bad, _resync = self._frames()
         state = DeltaApplyState()
         for node in range(10):
-            state.apply(node, bad, {})
+            apply(state, node, bad, {})
         assert state.digest_mismatches == 1
 
     def test_apply_state_is_single_use(self):
@@ -336,15 +293,10 @@ class TestRestrictedListeningDelta:
         )
         witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
         flags = {w: (s != 2) for s, ws in enumerate(witness_sets) for w in ws}
-        out = run_parallel_feedback(
-            net,
-            witness_sets,
-            flags,
-            list(range(n)),
-            RngRegistry(seed=13),
-            compiled=compiled,
-            delta_frames=delta,
-        )
+        with _transfers(delta=delta, compiled=compiled):
+            out = run_parallel_feedback(
+                net, witness_sets, flags, list(range(n)), RngRegistry(seed=13)
+            )
         return out, net
 
     def test_compiled_delta_matches_per_round_delta(self):
@@ -367,7 +319,7 @@ class TestRestrictedListeningDelta:
 
     def test_delta_matches_full_frame_outputs(self):
         delta_out, delta_net = self._run(delta=True, compiled=True)
-        full_out, full_net = self._run(delta=False, compiled=True)
+        full_out, full_net = self._run(delta=False, compiled=False)
         assert delta_out == full_out
         assert all(d == {0, 1, 3} for d in delta_out.values())
         assert (

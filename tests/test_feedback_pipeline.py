@@ -9,12 +9,14 @@ channel-grouped listener settlement and a sparse per-round delivery
 record.  These tests are the safety net: for seeded runs — including
 under jamming and spoofing adversaries — the compiled pipeline must
 return ``D`` maps, metrics, and canonical traces identical to the
-historical one-``execute_round``-per-repetition implementation.
+historical one-``execute_round``-per-repetition implementation, kept as an
+oracle in ``tests/oracles/feedback.py``.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -38,6 +40,12 @@ from repro.radio.messages import Message, Transmission
 from repro.radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
 from repro.radio.trace import SparseDelivered
 from repro.rng import RngRegistry
+
+from oracles.feedback import (
+    loop_draws,
+    per_round_transfers,
+    run_feedback_per_round,
+)
 
 
 def _forge_feedback_true(view, channel):
@@ -64,7 +72,7 @@ ADVERSARIES = {
 
 
 class TestFeedbackEquivalence:
-    """Compiled vs per-round `run_feedback` over seeded executions."""
+    """Compiled `run_feedback` vs the per-round oracle, seeded."""
 
     def _run(
         self,
@@ -75,6 +83,7 @@ class TestFeedbackEquivalence:
         seed=7,
         **kwargs,
     ):
+        """``compiled=False`` runs :func:`run_feedback_per_round` instead."""
         n, channels, t = 40, 3, 2
         net = RadioNetwork(
             n, channels, t, adversary=adversary_factory(), keep_trace=keep_trace
@@ -82,14 +91,9 @@ class TestFeedbackEquivalence:
         sets = tuple(tuple(range(s * 3, s * 3 + 3)) for s in range(3))
         wa = WitnessAssignment(sets=sets, channels=(0, 1, 2))
         flags = {w: (s % 2 == 0) for s, ws in enumerate(sets) for w in ws}
-        out = run_feedback(
-            net,
-            wa,
-            flags,
-            list(range(n)),
-            RngRegistry(seed=seed),
-            compiled=compiled,
-            **kwargs,
+        feedback = run_feedback if compiled else run_feedback_per_round
+        out = feedback(
+            net, wa, flags, list(range(n)), RngRegistry(seed=seed), **kwargs
         )
         return out, net
 
@@ -119,28 +123,29 @@ class TestFeedbackEquivalence:
 
 
 class TestParallelFeedbackEquivalence:
-    """Compiled vs per-round merge-tree transfers, seeded."""
+    """Compiled vs per-round (oracle) merge-tree transfers, seeded."""
 
     PARALLEL_ADVERSARIES = {
         k: v for k, v in ADVERSARIES.items() if k != "spoof-feedback"
     }
 
     def _run(self, adversary_factory, compiled, *, seed=9, **kwargs):
+        """``compiled=False`` runs the transfers through the oracle."""
         n, channels, t = 60, 8, 2
         net = RadioNetwork(n, channels, t, adversary=adversary_factory())
         witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
         flags = {
             w: (s != 1) for s, ws in enumerate(witness_sets) for w in ws
         }
-        out = run_parallel_feedback(
-            net,
-            witness_sets,
-            flags,
-            list(range(n)),
-            RngRegistry(seed=seed),
-            compiled=compiled,
-            **kwargs,
-        )
+        with nullcontext() if compiled else per_round_transfers():
+            out = run_parallel_feedback(
+                net,
+                witness_sets,
+                flags,
+                list(range(n)),
+                RngRegistry(seed=seed),
+                **kwargs,
+            )
         return out, net
 
     @pytest.mark.parametrize("adversary", sorted(PARALLEL_ADVERSARIES))
@@ -164,9 +169,9 @@ class TestParallelFeedbackEquivalence:
 class TestBlockDrawEquivalence:
     """The block-draw hop sampler and the shape cache are invisible.
 
-    ``block_draws=False`` is the reference hatch: compiled scheduling with
-    the historical one-``draw_uniform_indices``-call-per-listener-slot
-    chain.  Block draws must match it byte-for-byte (outputs, metrics,
+    The loop-draw oracle is the reference: compiled scheduling with
+    :meth:`~repro.rng.BlockDrawer.draw` swapped for the historical
+    one-rejection-chain-per-draw ``draw_uniform_indices``.  Block draws must match it byte-for-byte (outputs, metrics,
     canonical traces — and, since the traces embed every hop, the exact
     generator consumption).  Likewise a shared ``ScheduleShapeCache`` must
     be pure behaviour-wise: cached bucket blocks, metas, and stream tables
@@ -179,12 +184,9 @@ class TestBlockDrawEquivalence:
     @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
     def test_serial_block_draws_match_loop_draws(self, adversary):
         factory = ADVERSARIES[adversary]
-        loop_out, loop_net = self.serial._run(
-            factory, compiled=True, block_draws=False
-        )
-        block_out, block_net = self.serial._run(
-            factory, compiled=True, block_draws=True
-        )
+        with loop_draws():
+            loop_out, loop_net = self.serial._run(factory, compiled=True)
+        block_out, block_net = self.serial._run(factory, compiled=True)
         assert block_out == loop_out
         assert block_net.metrics == loop_net.metrics
         assert (
@@ -197,12 +199,9 @@ class TestBlockDrawEquivalence:
     )
     def test_parallel_block_draws_match_loop_draws(self, adversary):
         factory = self.parallel.PARALLEL_ADVERSARIES[adversary]
-        loop_out, loop_net = self.parallel._run(
-            factory, compiled=True, block_draws=False
-        )
-        block_out, block_net = self.parallel._run(
-            factory, compiled=True, block_draws=True
-        )
+        with loop_draws():
+            loop_out, loop_net = self.parallel._run(factory, compiled=True)
+        block_out, block_net = self.parallel._run(factory, compiled=True)
         assert block_out == loop_out
         assert block_net.metrics == loop_net.metrics
         assert (

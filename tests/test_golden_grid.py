@@ -25,9 +25,12 @@ re-key) whose traces pin ciphertext bytes.  Those cases also hash the
 adversary's private stream after the run.  Any engine change must
 reproduce all of them; a mismatch means the change altered an
 execution, not just its speed.
-The feedback cases also replay through the routines' reference paths
-(``compiled=False`` and ``block_draws=False``), which must give the same
-digests, so the fingerprints outlive those paths.
+The feedback cases also replay through the reference paths of
+``tests/oracles/feedback.py`` (the per-round loops and the per-draw
+sampler), which must give the same digests.  The full-frame parallel
+merge and dense f-AME exist only as those oracles now; their digests were
+recorded when the library still carried them, so the oracles are pinned
+to the library's old behaviour.
 
 Regenerate (only when an execution is *meant* to change) with::
 
@@ -36,11 +39,11 @@ Regenerate (only when an execution is *meant* to change) with::
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import random
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -67,7 +70,12 @@ from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 from repro.service import SecureSession
 
-run_fame_dense = functools.partial(run_fame, dense_actions=True)
+from oracles.fame import run_fame_dense
+from oracles.feedback import (
+    loop_draws,
+    per_round_transfers,
+    run_feedback_per_round,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("golden_grid.json")
 
@@ -113,39 +121,35 @@ def _fingerprint_network(net, rng, result, extra=()) -> str:
     )
 
 
-def _serial_feedback(adversary, seed, **paths):
+def _serial_feedback(adversary, seed):
     n, channels, t = 24, 3, 1
     net = RadioNetwork(n, channels, t, adversary=adversary)
     sets = tuple(tuple(range(s * 3, s * 3 + 3)) for s in range(4))
     wa = WitnessAssignment(sets=sets, channels=(0, 1, 2))
     flags = {w: (s % 3 != 1) for s, ws in enumerate(sets) for w in ws}
     rng = RngRegistry(seed=seed)
-    out = run_feedback(net, wa, flags, list(range(n)), rng, **paths)
+    out = run_feedback(net, wa, flags, list(range(n)), rng)
     return _fingerprint_network(
         net, rng, sorted((node, sorted(d)) for node, d in out.items())
     )
 
 
-def _parallel_feedback(adversary, seed, delta, **paths):
+def _parallel_feedback(adversary, seed, delta):
+    """The parallel merge with delta frames, or with the full-frame oracle
+    (which leaves the delta state untouched, so no counters are hashed)."""
     n, channels, t = 30, 8, 2
     net = RadioNetwork(n, channels, t, adversary=adversary)
     witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
     flags = {w: (s != 1) for s, ws in enumerate(witness_sets) for w in ws}
     rng = RngRegistry(seed=seed)
-    state = DeltaApplyState() if delta else None
-    out = run_parallel_feedback(
-        net,
-        witness_sets,
-        flags,
-        list(range(n)),
-        rng,
-        delta_frames=delta,
-        delta_state=state,
-        **paths,
-    )
+    state = DeltaApplyState()
+    with nullcontext() if delta else per_round_transfers(full_frames=True):
+        out = run_parallel_feedback(
+            net, witness_sets, flags, list(range(n)), rng, delta_state=state
+        )
     counters = (
         ()
-        if state is None
+        if not delta
         else (
             state.applications,
             state.skips,
@@ -217,12 +221,8 @@ def _groupkey(adversary, seed):
 
 WORKLOADS = {
     "feedback": _serial_feedback,
-    "parallel-delta": lambda adv, seed, **paths: _parallel_feedback(
-        adv, seed, True, **paths
-    ),
-    "parallel-full": lambda adv, seed, **paths: _parallel_feedback(
-        adv, seed, False, **paths
-    ),
+    "parallel-delta": lambda adv, seed: _parallel_feedback(adv, seed, True),
+    "parallel-full": lambda adv, seed: _parallel_feedback(adv, seed, False),
     "fame-serial": lambda adv, seed: _fame(adv, seed, False),
     "fame-parallel": lambda adv, seed: _fame(adv, seed, True),
     "groupkey": _groupkey,
@@ -244,9 +244,18 @@ FEEDBACK_WORKLOADS = (
     "parallel-delta",
     "parallel-full",
 )
+
+
+def _per_round(monkeypatch):
+    """Serial workloads call the standalone per-round loop (through this
+    module's ``run_feedback`` name); the merge's transfers run per round."""
+    monkeypatch.setitem(globals(), "run_feedback", run_feedback_per_round)
+    return per_round_transfers()
+
+
 REFERENCE_PATHS = {
-    "per-round": {"compiled": False},
-    "per-draw": {"block_draws": False},
+    "per-round": _per_round,
+    "per-draw": lambda monkeypatch: loop_draws(),
 }
 
 
@@ -260,7 +269,7 @@ PLANNED_ADVERSARIES = {
 }
 
 
-def _serial_feedback_t2(adversary, seed, **paths):
+def _serial_feedback_t2(adversary, seed):
     """Serial feedback at t=2: a random jammer draws two channels a round."""
     n, channels, t = 30, 5, 2
     net = RadioNetwork(n, channels, t, adversary=adversary)
@@ -268,7 +277,7 @@ def _serial_feedback_t2(adversary, seed, **paths):
     wa = WitnessAssignment(sets=sets, channels=(0, 1, 2, 3, 4))
     flags = {w: (s % 2 == 0) for s, ws in enumerate(sets) for w in ws}
     rng = RngRegistry(seed=seed)
-    out = run_feedback(net, wa, flags, list(range(n)), rng, **paths)
+    out = run_feedback(net, wa, flags, list(range(n)), rng)
     return _fingerprint_network(
         net, rng, sorted((node, sorted(d)) for node, d in out.items())
     )
@@ -362,13 +371,13 @@ PLANNED_ROWS = {
 }
 
 
-def _planned_case(run, factory, seed, **paths):
+def _planned_case(run, factory, seed):
     adversary_rng = random.Random(seed * 31 + 5)
-    digest = run(factory(adversary_rng), seed, **paths)
+    digest = run(factory(adversary_rng), seed)
     return _digest(digest, adversary_rng.getstate())
 
 
-def _restricted_feedback(seed, **paths):
+def _restricted_feedback(seed):
     """Serial feedback on the restricted-listening model: the engine's
     ``execute_round`` fallback for customised networks."""
     n, channels, t = 16, 3, 1
@@ -377,7 +386,7 @@ def _restricted_feedback(seed, **paths):
     wa = WitnessAssignment(sets=sets, channels=(0, 1, 2))
     flags = {w: (s != 1) for s, ws in enumerate(sets) for w in ws}
     rng = RngRegistry(seed=seed)
-    out = run_feedback(net, wa, flags, list(range(n)), rng, **paths)
+    out = run_feedback(net, wa, flags, list(range(n)), rng)
     return _fingerprint_network(
         net,
         rng,
@@ -395,12 +404,12 @@ def _cases() -> dict[str, object]:
         for workload, run in {**WORKLOADS, **DENSE_WORKLOADS}.items():
             for name, factory in ADVERSARIES.items():
                 cases[f"{workload}/{name}/{seed}"] = (
-                    lambda run=run, factory=factory, seed=seed, **paths: run(
-                        factory(seed), seed, **paths
+                    lambda run=run, factory=factory, seed=seed: run(
+                        factory(seed), seed
                     )
                 )
         cases[f"restricted-feedback/sticky/{seed}"] = (
-            lambda seed=seed, **paths: _restricted_feedback(seed, **paths)
+            lambda seed=seed: _restricted_feedback(seed)
         )
         rows = {
             f"{workload}/{name}": (run, factory)
@@ -410,8 +419,8 @@ def _cases() -> dict[str, object]:
         rows.update(PLANNED_ROWS)
         for row, (run, factory) in rows.items():
             cases[f"{row}/{seed}"] = (
-                lambda run=run, factory=factory, seed=seed, **paths: (
-                    _planned_case(run, factory, seed, **paths)
+                lambda run=run, factory=factory, seed=seed: (
+                    _planned_case(run, factory, seed)
                 )
             )
     return cases
@@ -442,8 +451,9 @@ def test_case_matches_golden_fingerprint(case):
         if c.split("/")[0] in FEEDBACK_WORKLOADS + ("restricted-feedback",)
     ),
 )
-def test_reference_path_matches_golden_fingerprint(case, path):
-    assert CASES[case](**REFERENCE_PATHS[path]) == _golden()[case]
+def test_reference_path_matches_golden_fingerprint(case, path, monkeypatch):
+    with REFERENCE_PATHS[path](monkeypatch):
+        assert CASES[case]() == _golden()[case]
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point

@@ -11,7 +11,6 @@ from repro.rng import (
     RngRegistry,
     derive_seed,
     derive_seeds,
-    draw_uniform_block,
     draw_uniform_indices,
     sample_distinct,
     shuffled,
@@ -182,7 +181,7 @@ class TestBlockDrawer:
                 a, b = random.Random(n * 1000 + count), random.Random(
                     n * 1000 + count
                 )
-                assert draw_uniform_block(a, n, count) == (
+                assert BlockDrawer(n).draw(a, count) == (
                     draw_uniform_indices(b, n, count)
                 )
                 assert a.getstate() == b.getstate()
@@ -190,7 +189,7 @@ class TestBlockDrawer:
     def test_matches_choice_stream_and_state(self):
         a, b = random.Random(11), random.Random(11)
         seq = range(7)
-        assert draw_uniform_block(a, 7, 50) == [
+        assert BlockDrawer(7).draw(a, 50) == [
             b.choice(seq) for _ in range(50)
         ]
         assert a.getstate() == b.getstate()
@@ -199,7 +198,7 @@ class TestBlockDrawer:
         # Single-argument randrange bottoms out in the same rejection
         # chain — the contract the group-key Part 3 batching relies on.
         a, b = random.Random(23), random.Random(23)
-        assert draw_uniform_block(a, 5, 40) == [
+        assert BlockDrawer(5).draw(a, 40) == [
             b.randrange(5) for _ in range(40)
         ]
         assert a.getstate() == b.getstate()
@@ -210,24 +209,24 @@ class TestBlockDrawer:
         with pytest.raises(ValueError):
             BlockDrawer(-3)
         with pytest.raises(ValueError):
-            draw_uniform_block(random.Random(1), 0, 1)
+            BlockDrawer(0).draw(random.Random(1), 1)
 
     def test_zero_count_still_validates_range(self):
         with pytest.raises(ValueError):
-            draw_uniform_block(random.Random(1), 0, 0)
-        assert draw_uniform_block(random.Random(1), 4, 0) == []
+            BlockDrawer(0).draw(random.Random(1), 0)
+        assert BlockDrawer(4).draw(random.Random(1), 0) == []
 
     def test_exotic_stream_fallback_matches_choice(self):
         a, b = ExoticRandom(5), ExoticRandom(5)
         seq = range(9)
-        assert draw_uniform_block(a, 9, 30) == [
+        assert BlockDrawer(9).draw(a, 30) == [
             b.choice(seq) for _ in range(30)
         ]
         assert a.getstate() == b.getstate()
 
     def test_exotic_stream_empty_range_raises(self):
         with pytest.raises(ValueError):
-            draw_uniform_block(ExoticRandom(1), 0, 1)
+            BlockDrawer(0).draw(ExoticRandom(1), 1)
 
     def test_matrix_draws_per_stream_in_order(self):
         drawer = BlockDrawer(6)

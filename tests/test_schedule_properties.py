@@ -40,7 +40,6 @@ from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyTermination, greedy_proposal
 from repro.rng import (
     BlockDrawer,
-    draw_uniform_block,
     draw_uniform_indices,
 )
 
@@ -166,7 +165,7 @@ def test_block_draws_equal_loop_draws_equal_choice_loop(n, count, seed):
     seq = range(n)
     choice_values = [c.choice(seq) for _ in range(count)]
     loop_values = draw_uniform_indices(a, n, count)
-    block_values = draw_uniform_block(b, n, count)
+    block_values = BlockDrawer(n).draw(b, count)
     assert block_values == loop_values == choice_values
     assert a.getstate() == b.getstate() == c.getstate()
 
@@ -185,7 +184,7 @@ def test_block_draws_fallback_matches_choice_for_exotic_streams(
     a, b, c = _ExoticRandom(seed), _ExoticRandom(seed), _ExoticRandom(seed)
     seq = range(n)
     choice_values = [c.choice(seq) for _ in range(count)]
-    assert draw_uniform_block(a, n, count) == choice_values
+    assert BlockDrawer(n).draw(a, count) == choice_values
     assert draw_uniform_indices(b, n, count) == choice_values
     assert a.getstate() == b.getstate() == c.getstate()
 
@@ -200,7 +199,7 @@ def test_empty_range_raises_on_every_path(n, count):
         with pytest.raises(ValueError):
             draw_uniform_indices(stream, n, count)
         with pytest.raises(ValueError):
-            draw_uniform_block(stream, n, count)
+            BlockDrawer(n).draw(stream, count)
         with pytest.raises(ValueError):
             BlockDrawer(n)
         assert stream.getstate() == before
