@@ -1,12 +1,14 @@
 """Monte Carlo harness benchmark: serial vs multiprocess trial throughput.
 
 The w.h.p. sweeps (disruptability, Figure 3) run many independent seeded
-f-AME executions; ``repro.experiments.MonteCarloRunner`` fans them over a
-``multiprocessing`` pool.  This benchmark measures trials/sec of the same
-sweep at ``--workers 1`` versus ``--workers N`` and — **before** reporting
-any speedup — asserts that the two runs' merged metrics and per-trial
-outcomes are byte-identical, so a determinism regression fails the bench
-rather than inflating it.
+f-AME executions: a one-point ``repro.dispatch.SweepSpec`` run by
+``SweepRunner`` through ``default_backend(workers)`` — the
+``python -m repro montecarlo`` path, serial at one worker and a
+``multiprocessing`` pool above.  This benchmark measures trials/sec of the
+same sweep at ``--workers 1`` versus ``--workers N`` and — **before**
+reporting any speedup — asserts that the two runs' merged metrics and
+per-trial outcomes are byte-identical, so a determinism regression fails
+the bench rather than inflating it.
 
 Run ``PYTHONPATH=src python benchmarks/bench_montecarlo.py`` to regenerate
 ``benchmarks/BENCH_montecarlo.json`` (n=256, 64 trials, 4 workers);
@@ -27,28 +29,29 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import MonteCarloRunner
+from repro.dispatch import SweepRunner, SweepSpec, default_backend
 
 
 def run_sweep(
     n: int, trials: int, workers: int, pairs: int, seed: int
 ) -> tuple[dict, float]:
-    """One full sweep; returns (report dict, trials/sec)."""
-    runner = MonteCarloRunner(
-        "fame",
-        trials,
+    """One full sweep; returns (its point's report section, trials/sec)."""
+    spec = SweepSpec(
+        workloads=("fame",),
+        ns=(n,),
+        channels=(2,),
+        ts=(1,),
+        adversaries=("schedule",),
+        trials=trials,
         seed=seed,
-        workers=workers,
-        n=n,
-        channels=2,
-        t=1,
         pairs=pairs,
-        adversary="schedule",
     )
+    runner = SweepRunner(spec, backend=default_backend(workers))
     start = time.perf_counter()
     report = runner.run()
     elapsed = time.perf_counter() - start
-    return report.as_dict(), trials / elapsed
+    (point,) = report.as_dict()["points"]
+    return point, trials / elapsed
 
 
 def assert_equivalent(serial: dict, parallel: dict, n: int) -> None:
@@ -120,7 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             "trials": trials,
             "pairs": pairs,
             "workers": workers,
-            "chunksize": parallel["chunksize"],
             "serial_trials_per_sec": round(serial_tps, 2),
             "parallel_trials_per_sec": round(parallel_tps, 2),
             "speedup": round(parallel_tps / serial_tps, 2),

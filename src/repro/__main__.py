@@ -6,9 +6,9 @@ Commands
 ``groupkey``    run the Section 6 group-key establishment
 ``service``     run the full pipeline and exchange a few chat messages
 ``gauntlet``    run f-AME against every adversary in the gallery
-``montecarlo``  fan many independent seeded trials over a process pool and
-                print a JSON sweep report (Wilson intervals, disruptability
-                histogram, merged radio metrics)
+``montecarlo``  run one workload's independent seeded trials as a
+                one-point ``sweep`` and print its JSON report (Wilson
+                intervals, disruptability histogram, merged radio metrics)
 ``sweep``       expand a parameter grid (workload × n × C × t × adversary)
                 into deterministically seeded trials and dispatch them over
                 a pluggable backend (``--backend serial|procs|socket``),
@@ -26,16 +26,20 @@ Commands
                 ``src tests benchmarks`` with a zero-tolerance baseline
 
 Common options: ``--nodes``, ``--channels``, ``--strength`` (t), ``--seed``,
-``--adversary``.  Every run is deterministic given the seed — for
-``montecarlo`` the *report* is deterministic regardless of ``--workers``::
+``--adversary``.  Every run is deterministic given the seed, and a sweep
+report is byte-identical across backends, worker counts, kills, and
+resumes.  ``montecarlo`` is the one-point case::
 
     python -m repro montecarlo --trials 100 --workers 4 --seed 7
 
-produces merged metrics byte-identical to the same sweep at ``--workers 1``
-(100 trials is also enough for an informative 1/n verdict at the default
-``n=20``; see ``repro.analysis.stats.min_informative_trials``), and for
-``sweep`` the report is byte-identical across backends, worker counts,
-kills, and resumes.  ``--json-out PATH`` (montecarlo and sweep) writes the
+writes exactly the report of ``python -m repro sweep --trials 100
+--nodes 20 --seed 7`` (100 trials is also enough for an informative 1/n
+verdict at the default ``n=20``; see
+``repro.analysis.stats.min_informative_trials``).  That is a format
+change from the earlier montecarlo report: the sections sit under
+``points``, trial ``i`` runs from ``RngRegistry(seed).spawn("sweep", 0,
+i)`` rather than ``spawn("trial", i)``, and the ``workers``/``chunksize``
+fields are gone.  ``--json-out PATH`` (montecarlo and sweep) writes the
 report to a file (trailing newline) and prints only a one-line summary.
 """
 
@@ -49,10 +53,16 @@ from pathlib import Path
 from . import __version__
 from .adversary import Adversary
 from .crypto.dh import TEST_GROUP_128
-from .dispatch import SweepRunner, SweepSpec, make_backend, worker_main
+from .dispatch import (
+    SweepRunner,
+    SweepSpec,
+    default_backend,
+    make_backend,
+    worker_main,
+)
 from .dispatch.socket_pool import SocketBackend, parse_endpoint
 from .errors import ConfigurationError, SweepInterrupted
-from .experiments import MonteCarloRunner, WORKLOADS, default_pairs
+from .experiments import WORKLOADS, default_pairs
 from .experiments.workloads import (
     ADVERSARY_FACTORIES as ADVERSARIES,
     make_network as _make_network,
@@ -158,39 +168,59 @@ def _emit_report(
     print(f"{summary} -> {json_out}")
 
 
+def _run_sweep(
+    command: str, runner: SweepRunner, json_out: Path | None
+) -> int:
+    """Run a sweep and print its report; returns the exit code.
+
+    0 on success, 1 when some point's w.h.p. claim was checkable and
+    failed, 2 on a configuration error, 3 when the sweep stopped early.
+    """
+    try:
+        report = runner.run()
+    except ConfigurationError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return 2
+    except SweepInterrupted:
+        partial = runner.state.partial_report()
+        done = f"{partial['completed_trials']}/{partial['total_trials']}"
+        if runner.journal_path is not None:
+            hint = "journalled; rerun with --resume to finish"
+        else:
+            hint = (
+                "completed but DISCARDED (no --journal); rerun with "
+                "--journal to make stops resumable"
+            )
+        print(
+            f"repro {command}: stopped early with {done} trials {hint}",
+            file=sys.stderr,
+        )
+        return 3
+    _emit_report(report.as_dict(), json_out, report.summary_line())
+    return 1 if report.whp_failures() else 0
+
+
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     try:
-        runner = MonteCarloRunner(
-            args.workload,
-            args.trials,
+        spec = SweepSpec(
+            workloads=(args.workload,),
+            ns=(args.nodes,),
+            channels=(args.channels,),
+            ts=(args.strength,),
+            adversaries=(args.adversary,),
+            trials=args.trials,
             seed=args.seed,
-            workers=args.workers,
-            chunksize=args.chunksize,
-            n=args.nodes,
-            channels=args.channels,
-            t=args.strength,
             pairs=args.pairs,
-            adversary=args.adversary,
         )
+        backend = default_backend(args.workers)
     except ConfigurationError as exc:
-        # --workload is an open set now (scenario:NAME registers lazily),
-        # so bad names surface here instead of in argparse choices.
+        # --workload is an open set (scenario:NAME registers lazily), so
+        # bad names surface here instead of in argparse choices.
         print(f"repro montecarlo: {exc}", file=sys.stderr)
         return 2
-    report = runner.run()
-    whp = {True: "ok", False: "FAILED", None: "uninformative"}[
-        report.whp_claim
-    ]
-    _emit_report(
-        report.as_dict(),
-        args.json_out,
-        f"montecarlo: workload={report.workload} trials={report.trials} "
-        f"success={report.success.successes}/{report.success.trials} "
-        f"whp={whp}",
+    return _run_sweep(
+        "montecarlo", SweepRunner(spec, backend=backend), args.json_out
     )
-    # Exit non-zero only when the w.h.p. claim was checkable and failed;
-    # an uninformative trial count reports claim_holds=null and exits 0.
-    return 1 if report.whp_claim is False else 0
 
 
 def _sweep_backend(args: argparse.Namespace):
@@ -203,9 +233,7 @@ def _sweep_backend(args: argparse.Namespace):
             spawn_workers=not args.no_spawn_workers,
             batch_size=args.batch_size,
         )
-    return make_backend(
-        args.backend, workers=args.workers, chunksize=args.chunksize
-    )
+    return make_backend(args.backend, workers=args.workers)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -247,28 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         on_point_complete=on_point_complete,
         stop_after=args.stop_after,
     )
-    try:
-        report = runner.run()
-    except ConfigurationError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        return 2
-    except SweepInterrupted:
-        partial = runner.state.partial_report()
-        done = f"{partial['completed_trials']}/{partial['total_trials']}"
-        if args.journal is not None:
-            hint = "journalled; rerun with --resume to finish"
-        else:
-            hint = (
-                "completed but DISCARDED (no --journal); rerun with "
-                "--journal to make stops resumable"
-            )
-        print(
-            f"repro sweep: stopped early with {done} trials {hint}",
-            file=sys.stderr,
-        )
-        return 3
-    _emit_report(report.as_dict(), args.json_out, report.summary_line())
-    return 1 if report.whp_failures() else 0
+    return _run_sweep("sweep", runner, args.json_out)
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -490,12 +497,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
     mc = sub.add_parser(
         "montecarlo",
-        help="multiprocess Monte Carlo trial sweep (JSON report)",
-        description="Fan independent seeded trials over a process pool and "
-        "print a JSON sweep report: Wilson success intervals, a "
-        "disruptability histogram, and merged radio metrics.  The report "
-        "is deterministic given --seed: any --workers count produces "
-        "byte-identical merged metrics.",
+        help="one-point sweep of seeded trials (JSON sweep report)",
+        description="Run --trials independent seeded trials of one "
+        "workload as a one-point sweep (serial at --workers 1, a process "
+        "pool above) and print the standard sweep report: Wilson success "
+        "intervals, the w.h.p. verdict, a disruptability histogram, and "
+        "merged radio metrics.  The report is byte-identical to `sweep` "
+        "on the same one-point grid, whatever --workers is.  Format "
+        "change from the earlier montecarlo report: the point's section "
+        "sits under `points`, trial i runs from "
+        "RngRegistry(seed).spawn('sweep', 0, i) instead of "
+        "spawn('trial', i), and the workers/chunksize fields are gone.",
         epilog="example: python -m repro montecarlo --trials 100 --workers 4 "
         "--seed 7",
     )
@@ -504,12 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     # claim at the default n=20 (min_informative_trials(20) == 73).
     mc.add_argument("--trials", type=int, default=100)
     mc.add_argument("--workers", "-j", type=int, default=1)
-    mc.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        help="trials per worker dispatch (default: trials // (workers * 4))",
-    )
     mc.add_argument(
         "--workload",
         default="fame",
@@ -559,10 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument("--workers", "-j", type=int, default=2,
                     help="pool size for the procs/socket backends")
-    sw.add_argument(
-        "--chunksize", type=int, default=None,
-        help="trials per dispatch for the procs backend",
-    )
     sw.add_argument(
         "--batch-size", type=int, default=None,
         help="socket backend: pin trials per batch frame (default: sized "

@@ -37,9 +37,8 @@ differently.  This package makes that literal:
   SweepRunner` with streaming per-point aggregation, and the
   backend-independent :class:`~repro.dispatch.sweep.SweepReport`.
 
-``python -m repro sweep`` / ``python -m repro worker`` are the CLI
-front-ends; ``MonteCarloRunner.run`` now delegates here, making its old
-serial fallback one more backend.
+``python -m repro sweep``, ``python -m repro montecarlo`` (a one-point
+sweep) and ``python -m repro worker`` are the CLI front-ends.
 """
 
 from .backend import (

@@ -3,9 +3,10 @@
 A backend's only job is: given a batch of :class:`~repro.experiments.trial.
 TrialSpec`s, execute each one exactly once (logically) and hand back the
 :class:`~repro.experiments.trial.TrialResult`s in **trial-index order**.
-Everything that makes the Monte Carlo reports deterministic lives outside
-the backend — per-trial seeds are a pure function of the trial index
-(:meth:`~repro.rng.RngRegistry.spawn`), and aggregation sorts by index —
+Everything that makes sweep reports deterministic lives outside the
+backend — per-trial seeds are a pure function of the trial's grid
+coordinates (:meth:`~repro.rng.RngRegistry.spawn`), and aggregation sorts
+by index —
 so any backend that honours the contract produces byte-identical reports.
 ``SerialBackend`` really is the degenerate case of the design, exactly as
 ROADMAP's remote fan-out item predicted.
@@ -29,8 +30,8 @@ releases it, backends are context managers, and the base implementations
 are no-ops so stateless backends need not care.
 
 Backends: :class:`SerialBackend` (in-process loop), :class:`
-MultiprocessBackend` (the historical ``multiprocessing`` pool path, now
-streaming via ``imap`` with batch-derived chunk sizes), and
+MultiprocessBackend` (a local ``multiprocessing`` pool streaming via
+``imap`` with batch-derived chunk sizes), and
 :class:`~repro.dispatch.socket_pool.SocketBackend` (stdlib socket
 coordinator + ``python -m repro worker`` processes, possibly on other
 machines, shipping batched spec frames over a pipelined window).
@@ -207,41 +208,28 @@ class SerialBackend(DispatchBackend):
 
 
 class MultiprocessBackend(DispatchBackend):
-    """Fan trials over a local ``multiprocessing`` pool.
+    """Fan trials over a local ``multiprocessing`` pool of ``workers``
+    processes (>= 2; use :class:`SerialBackend` for one).
 
-    The historical ``MonteCarloRunner`` pool path, generalised: ``imap``
-    (same chunking semantics as the old ``Pool.map``, identical results)
-    streams results back in submission order so journalling and partial
-    reports work mid-batch.
-
-    Parameters
-    ----------
-    workers:
-        Pool size (>= 2; use :class:`SerialBackend` for one).
-    chunksize:
-        Trials per worker dispatch; ``None`` derives one with
-        :func:`auto_chunksize` from the *actual* batch handed to
-        :meth:`run` — the whole sweep's spec stream, never a single
-        point's trial count.
+    ``imap`` streams results back in submission order, so journalling and
+    partial reports work mid-batch.  Each worker dispatch carries
+    :func:`auto_chunksize` trials, derived from the *actual* batch handed
+    to :meth:`run` — the whole sweep's spec stream, never a single
+    point's trial count.
     """
 
     name = "procs"
 
-    def __init__(self, workers: int, chunksize: int | None = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise ConfigurationError(
                 "MultiprocessBackend needs workers >= 2; "
                 "use SerialBackend for in-process runs"
             )
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError("chunksize must be >= 1 when given")
         self.workers = workers
-        self.chunksize = chunksize
 
     def effective_chunksize(self, batch_size: int) -> int:
         """The chunksize actually handed to ``imap`` for a batch."""
-        if self.chunksize is not None:
-            return self.chunksize
         return auto_chunksize(batch_size, self.workers)
 
     def _execute(self, specs, assembler, should_stop):
@@ -256,13 +244,17 @@ class MultiprocessBackend(DispatchBackend):
                 self._check_stop(assembler, should_stop)
 
 
-def default_backend(
-    workers: int, chunksize: int | None = None
-) -> DispatchBackend:
-    """The backend a plain ``workers=N`` request means: serial below 2."""
-    if workers <= 1:
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+
+
+def default_backend(workers: int) -> DispatchBackend:
+    """The backend a plain ``workers=N`` request means: serial at 1."""
+    _check_workers(workers)
+    if workers == 1:
         return SerialBackend()
-    return MultiprocessBackend(workers, chunksize)
+    return MultiprocessBackend(workers)
 
 
 BACKEND_NAMES = ("serial", "procs", "socket")
@@ -273,22 +265,23 @@ def make_backend(
     name: str,
     *,
     workers: int = 2,
-    chunksize: int | None = None,
     batch_size: int | None = None,
 ) -> DispatchBackend:
     """Instantiate a backend by CLI name.
 
-    ``chunksize`` applies to ``procs``; ``batch_size`` pins the socket
-    backend's per-assignment batch (``None`` keeps it adaptive).
+    ``workers`` must be >= 1 whatever the backend (``procs`` runs at
+    least two processes); ``batch_size`` pins the socket backend's
+    per-assignment batch (``None`` keeps it adaptive).
     """
+    _check_workers(workers)
     if name == "serial":
         return SerialBackend()
     if name == "procs":
-        return MultiprocessBackend(max(2, workers), chunksize)
+        return MultiprocessBackend(max(2, workers))
     if name == "socket":
         from .socket_pool import SocketBackend
 
-        return SocketBackend(workers=max(1, workers), batch_size=batch_size)
+        return SocketBackend(workers=workers, batch_size=batch_size)
     raise ConfigurationError(
         f"unknown dispatch backend {name!r}; pick from {BACKEND_NAMES}"
     )

@@ -283,6 +283,10 @@ def worker_main(
                 return 1
             time.sleep(0.1)
     sock.settimeout(None)
+    # Frames are small and answered one by one: with Nagle's algorithm on,
+    # a frame written while the previous one is unacknowledged waits for
+    # the peer's delayed-ACK timer (~40 ms).
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     contexts: list[tuple] | None = None
     try:
         send_frame(
@@ -638,6 +642,8 @@ class SocketBackend(DispatchBackend):
         except (BlockingIOError, OSError):
             return None
         accepted.setblocking(False)
+        # Small frames both ways; see worker_main on Nagle's algorithm.
+        accepted.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = _Connection(accepted)
         self._conns[accepted.fileno()] = conn
         self._sel.register(accepted, selectors.EVENT_READ, data=conn)

@@ -34,18 +34,21 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
+from ..analysis.disruption import disruptability_histogram
+from ..analysis.stats import empirical_rate, meets_whp, min_informative_trials
 from ..errors import ConfigurationError, DispatchError
-from ..experiments.runner import MonteCarloRunner
 from ..experiments.trial import TrialResult, TrialSpec
 from ..experiments.workloads import (
     ADVERSARY_FACTORIES,
     WORKLOAD_USES_ADVERSARY,
     make_workload,
 )
-from ..rng import derive_seed, derive_seeds
+from ..params import validate_model
+from ..radio.metrics import NetworkMetrics
+from ..rng import derive_seeds
 from .backend import DispatchBackend, SerialBackend
 from .journal import SweepJournal
 
@@ -119,6 +122,10 @@ class SweepSpec:
             )
         if self.trials < 1:
             raise ConfigurationError("trials per point must be >= 1")
+        # Reject an impossible model here, before any backend starts: a
+        # worker would otherwise fail on its first trial.
+        for n, c, t in itertools.product(self.ns, self.channels, self.ts):
+            validate_model(n, c, t)
         if len(self.adversaries) > 1:
             blind = [
                 w for w in self.workloads
@@ -157,38 +164,25 @@ class SweepSpec:
         """The point index a global trial index belongs to."""
         return global_index // self.trials
 
-    def trial_spec(self, point: SweepPoint, trial_index: int) -> TrialSpec:
-        """Trial ``trial_index`` of ``point`` — seed from the coordinates."""
-        return self._trial_spec(
-            point,
-            trial_index,
-            derive_seed(self.seed, "spawn", "sweep", point.point_index, trial_index),
-        )
-
-    def _trial_spec(
-        self, point: SweepPoint, trial_index: int, seed: int
-    ) -> TrialSpec:
-        return TrialSpec(
-            workload=point.workload,
-            index=point.point_index * self.trials + trial_index,
-            seed=seed,
-            n=point.n,
-            channels=point.channels,
-            t=point.t,
-            pairs=self.pairs,
-            adversary=point.adversary,
-            options=self.options,
-        )
-
     def specs(self) -> list[TrialSpec]:
         """Every trial of every point, global-index order.
 
         Seeds come from the bulk :func:`repro.rng.derive_seeds` helper —
         one hashlib loop per grid point, no per-trial registries —
-        identical to the per-call :meth:`trial_spec` path.
+        identical to ``RngRegistry(seed).spawn("sweep", point, trial)``.
         """
         return [
-            self._trial_spec(point, j, seed)
+            TrialSpec(
+                workload=point.workload,
+                index=point.point_index * self.trials + j,
+                seed=seed,
+                n=point.n,
+                channels=point.channels,
+                t=point.t,
+                pairs=self.pairs,
+                adversary=point.adversary,
+                options=self.options,
+            )
             for point in self.points()
             for j, seed in enumerate(
                 derive_seeds(
@@ -222,28 +216,79 @@ class SweepSpec:
 def _point_report(
     spec: SweepSpec, point: SweepPoint, results: Sequence[TrialResult]
 ) -> dict[str, Any]:
-    """Aggregate one point's results via the Monte Carlo aggregator.
+    """Fold one point's results (any order, at least one) into its section.
 
-    Execution-shape fields (workers/chunksize) are stripped: a sweep
-    report must serialise identically whatever backend produced it.
+    Counters merge via :meth:`~repro.radio.metrics.NetworkMetrics.merge`
+    in trial-index order; the success rate gets a Wilson interval; the
+    ``1/n`` w.h.p. claim is checked only when the trial count is
+    informative for it (``claim_holds`` is ``None`` otherwise); per-trial
+    disruptability (Definition 1) is histogrammed.  Nothing here depends
+    on the backend that produced the results.
     """
-    runner = MonteCarloRunner(
-        point.workload,
-        spec.trials,
-        seed=spec.seed,
-        workers=1,
-        n=point.n,
-        channels=point.channels,
-        t=point.t,
-        pairs=spec.pairs,
-        adversary=point.adversary,
-        options=spec.options,
-    )
-    rendered = runner.aggregate(results).as_dict()
-    rendered.pop("workers", None)
-    rendered.pop("chunksize", None)
-    rendered["point_index"] = point.point_index
-    return rendered
+    ordered = sorted(results, key=lambda r: r.index)
+    if not ordered:
+        raise ConfigurationError("cannot aggregate zero trial results")
+    trials = len(ordered)
+    # merge promotes to the more derived operand type, so a plain base
+    # seed keeps the counters of trials that carry a metrics subclass.
+    merged = NetworkMetrics()
+    for result in ordered:
+        merged = merged.merge(result.metrics)
+    successes = sum(1 for r in ordered if r.success)
+    rate = empirical_rate(successes, trials)
+    covers = [r.disruptability() for r in ordered]
+    histogram = disruptability_histogram(covers)
+    # meets_whp owns the informative-trials gate (it raises below
+    # min_informative_trials): an uninformative point reports None
+    # rather than a vacuous confirmation.
+    try:
+        claim: bool | None = meets_whp(trials - successes, trials, point.n)
+    except ValueError:
+        claim = None
+    return {
+        "workload": point.workload,
+        "seed": spec.seed,
+        "trials": trials,
+        "model": {
+            "n": point.n,
+            "channels": point.channels,
+            "t": point.t,
+            "pairs": spec.pairs,
+            "adversary": point.adversary,
+        },
+        "success_rate": {
+            "successes": rate.successes,
+            "trials": rate.trials,
+            "point": rate.point,
+            "wilson_low": rate.low,
+            "wilson_high": rate.high,
+        },
+        "whp": {
+            "n": point.n,
+            "target_failure_rate": 1.0 / point.n,
+            "min_informative_trials": min_informative_trials(point.n),
+            "informative": claim is not None,
+            "claim_holds": claim,
+        },
+        "disruptability": {
+            "histogram": {
+                str(cover): count for cover, count in sorted(histogram.items())
+            },
+            "max": max(covers),
+            "mean": sum(covers) / trials,
+        },
+        "merged_metrics": asdict(merged),
+        "trial_outcomes": [
+            {
+                "index": r.index,
+                "seed": r.seed,
+                "success": r.success,
+                "disruptability": cover,
+            }
+            for r, cover in zip(ordered, covers)
+        ],
+        "point_index": point.point_index,
+    }
 
 
 class SweepState:
@@ -393,7 +438,12 @@ class SweepReport:
     def summary_line(self) -> str:
         """The one-line stdout summary used with ``--json-out``."""
         failed = self.whp_failures()
-        whp = "ok" if not failed else f"FAILED at points {failed}"
+        if failed:
+            whp = f"FAILED at points {failed}"
+        elif any(s["whp"]["informative"] for s in self.point_sections):
+            whp = "ok"
+        else:  # no point ran enough trials to check its 1/n claim
+            whp = "uninformative"
         return (
             f"sweep: {len(self.point_sections)} points x "
             f"{self.spec.trials} trials, success "

@@ -10,22 +10,18 @@ not one.  This package turns that into a subsystem:
   picklable unit of work and its outcome;
 * :mod:`~repro.experiments.workloads` — ready-made factories for the
   headline workloads (f-AME delivery, group-key establishment, the
-  adversary gauntlet) plus the shared adversary gallery;
-* :class:`~repro.experiments.runner.MonteCarloRunner` — fans trials over a
-  :mod:`repro.dispatch` backend (in-process serial, a ``multiprocessing``
-  pool, or the socket worker pool) and aggregates Wilson intervals,
-  disruptability histograms, and merged radio metrics into a
-  :class:`~repro.experiments.runner.MonteCarloReport`.
+  adversary gauntlet) plus the shared adversary gallery.
 
-Execution mechanics live in :mod:`repro.dispatch`: this package defines
-*what* a trial is and how outcomes aggregate, the dispatch layer decides
-*where* trials run (and adds journalled, resumable parameter-grid sweeps
-on top).  ``python -m repro montecarlo`` and ``python -m repro sweep``
-are the CLI front-ends.
+This package defines *what* a trial is.  :mod:`repro.dispatch` runs
+them: a :class:`~repro.dispatch.sweep.SweepSpec` derives the seeded
+trials of a parameter grid, a backend decides *where* they run, and
+:class:`~repro.dispatch.sweep.SweepReport` folds each grid point's
+outcomes into Wilson intervals, the w.h.p. verdict, a disruptability
+histogram and merged radio metrics.  ``python -m repro montecarlo`` (a
+one-point grid) and ``python -m repro sweep`` are the CLI front-ends.
 """
 
-from .runner import MonteCarloReport, MonteCarloRunner
-from .trial import TrialResult, TrialSpec, trial_seed
+from .trial import TrialResult, TrialSpec
 from .workloads import (
     ADVERSARY_FACTORIES,
     SCENARIO_WORKLOAD_PREFIX,
@@ -39,8 +35,6 @@ from .workloads import (
 
 __all__ = [
     "ADVERSARY_FACTORIES",
-    "MonteCarloReport",
-    "MonteCarloRunner",
     "SCENARIO_WORKLOAD_PREFIX",
     "TrialResult",
     "TrialSpec",
@@ -50,5 +44,4 @@ __all__ = [
     "make_adversary",
     "make_workload",
     "run_trial",
-    "trial_seed",
 ]

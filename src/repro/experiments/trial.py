@@ -19,20 +19,6 @@ from typing import Any
 
 from ..analysis.disruption import disruptability
 from ..radio.metrics import NetworkMetrics
-from ..rng import derive_seed
-
-
-def trial_seed(master_seed: int, index: int) -> int:
-    """The per-trial master seed: ``RngRegistry(master).spawn("trial", i)``.
-
-    Seeds are derived from the trial *index*, never from execution order,
-    so a trial's randomness is identical whether it runs serially, in any
-    worker process, or is replayed alone for debugging.  Computed as one
-    direct :func:`repro.rng.derive_seed` hash (no intermediate registry);
-    planners deriving many seeds at once should use the bulk
-    :func:`repro.rng.derive_seeds` instead.
-    """
-    return derive_seed(master_seed, "spawn", "trial", index)
 
 
 @dataclass(frozen=True)
@@ -46,8 +32,10 @@ class TrialSpec:
     index:
         Trial index within the sweep (also the result's sort key).
     seed:
-        The per-trial master seed (see :func:`trial_seed`); the worker
-        builds its :class:`~repro.rng.RngRegistry` from this alone.
+        The per-trial master seed, derived from the trial's grid
+        coordinates (see :meth:`repro.dispatch.sweep.SweepSpec.specs`),
+        never from execution order; the worker builds its
+        :class:`~repro.rng.RngRegistry` from this alone.
     n, channels, t:
         The radio model parameters.
     pairs:

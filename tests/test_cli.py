@@ -54,7 +54,7 @@ class TestCommands:
     def test_montecarlo_defaults(self):
         args = build_parser().parse_args(["montecarlo"])
         assert args.trials == 100 and args.workers == 1
-        assert args.workload == "fame" and args.chunksize is None
+        assert args.workload == "fame" and "chunksize" not in vars(args)
 
     def test_montecarlo_default_trials_are_whp_informative(self):
         from repro.analysis.stats import min_informative_trials
@@ -67,12 +67,13 @@ class TestCommands:
             ["montecarlo", "--trials", "4", "-n", "18", "--seed", "7"]
         ) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["trials"] == 4
-        assert "wilson_low" in report["success_rate"]
-        assert "histogram" in report["disruptability"]
+        (point,) = report["points"]
+        assert report["totals"]["trials"] == point["trials"] == 4
+        assert "wilson_low" in point["success_rate"]
+        assert "histogram" in point["disruptability"]
         # 4 trials cannot resolve a 1/18 claim: reported, not confirmed.
-        assert report["whp"]["claim_holds"] is None
-        assert report["whp"]["informative"] is False
+        assert point["whp"]["claim_holds"] is None
+        assert point["whp"]["informative"] is False
 
     def test_montecarlo_json_out_writes_file_and_one_line(
         self, capsys, tmp_path
@@ -88,7 +89,7 @@ class TestCommands:
         ) == 0
         summary = capsys.readouterr().out
         assert summary.count("\n") == 1  # a single line on stdout
-        assert "montecarlo:" in summary and str(out) in summary
+        assert "whp uninformative" in summary and str(out) in summary
         text = out.read_text()
         assert text.endswith("\n")
         assert json.loads(text) == stdout_report
@@ -103,13 +104,69 @@ class TestCommands:
             ["montecarlo", "--trials", "4", "-n", "18", "--seed", "7"]
         ) == 0
         serial = json.loads(capsys.readouterr().out)
-        assert json.dumps(parallel["merged_metrics"], sort_keys=True) == \
-            json.dumps(serial["merged_metrics"], sort_keys=True)
-        assert parallel["trial_outcomes"] == serial["trial_outcomes"]
-        # only the execution-shape fields may differ
-        parallel.pop("workers"), serial.pop("workers")
-        parallel.pop("chunksize"), serial.pop("chunksize")
+        # no execution-shape field: the whole report is identical
         assert parallel == serial
+
+
+    def test_montecarlo_writes_the_one_point_sweep_report(self, tmp_path):
+        mc, sw = tmp_path / "mc.json", tmp_path / "sw.json"
+        assert main(
+            ["montecarlo", "--trials", "4", "-n", "18", "--seed", "7",
+             "--json-out", str(mc)]
+        ) == 0
+        assert main(
+            ["sweep", "--trials", "4", "--nodes", "18", "--seed", "7",
+             "--json-out", str(sw)]
+        ) == 0
+        assert mc.read_bytes() == sw.read_bytes()
+
+
+class TestRejectBeforeDispatch:
+    """Impossible grids and worker counts exit 2 before any backend runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_dispatch(self, monkeypatch):
+        from repro.dispatch import (
+            MultiprocessBackend,
+            SerialBackend,
+            SocketBackend,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a backend started")
+
+        for cls in (SerialBackend, MultiprocessBackend, SocketBackend):
+            monkeypatch.setattr(cls, "run", refuse)
+        monkeypatch.setattr(SocketBackend, "_spawn", refuse)
+
+    @pytest.mark.parametrize("backend", ["serial", "procs", "socket"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "1", "--nodes", "1"],
+            ["--workers", "1", "--channels", "1"],
+            ["--workers", "1", "--channels", "2", "--strengths", "2"],
+            ["--workers", "0"],
+            ["--workers", "-3"],
+        ],
+    )
+    def test_sweep_exits_2(self, backend, flags, capsys):
+        argv = ["sweep", "--backend", backend, "--trials", "2", *flags]
+        assert main(argv) == 2
+        assert "repro sweep:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["-n", "1"],
+            ["-c", "1"],
+            ["--workers", "0"],
+            ["--workers", "2", "-n", "1"],
+        ],
+    )
+    def test_montecarlo_exits_2(self, flags, capsys):
+        assert main(["montecarlo", "--trials", "2", *flags]) == 2
+        assert "repro montecarlo:" in capsys.readouterr().err
 
 
 class TestSweepCommand:

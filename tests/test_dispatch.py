@@ -30,23 +30,14 @@ from repro.errors import (
     DispatchError,
     SweepInterrupted,
 )
-from repro.experiments import MonteCarloRunner, TrialResult
+from repro.experiments import TrialResult
 from repro.radio.metrics import NetworkMetrics
 from repro.rng import RngRegistry
 
 N = 18  # smallest population comfortably above the f-AME witness bound
 
-
-def make_runner(workers: int = 1, trials: int = 4, **kwargs) -> MonteCarloRunner:
-    kwargs.setdefault("n", N)
-    kwargs.setdefault("pairs", 4)
-    return MonteCarloRunner(
-        kwargs.pop("workload", "fame"),
-        trials,
-        seed=kwargs.pop("seed", 7),
-        workers=workers,
-        **kwargs,
-    )
+# One grid point of four trials: its specs are trial indices 0..3.
+point_spec = SweepSpec(ns=(N,), trials=4, seed=7, pairs=4)
 
 
 def fake_result(index: int, success: bool = True) -> TrialResult:
@@ -88,25 +79,26 @@ class TestResultAssembler:
 
 class TestBackends:
     def test_serial_matches_multiprocess(self):
-        specs = make_runner().specs()
+        specs = point_spec.specs()
         serial = SerialBackend().run(specs)
         parallel = MultiprocessBackend(2).run(specs)
         assert serial == parallel
 
     def test_runner_accepts_explicit_backend(self):
-        runner = make_runner()
-        assert runner.run(SerialBackend()) == runner.run()
-        assert runner.run(MultiprocessBackend(2)) == runner.run()
+        default = SweepRunner(point_spec).run().as_dict()
+        for backend in (SerialBackend(), MultiprocessBackend(2)):
+            report = SweepRunner(point_spec, backend=backend).run()
+            assert report.as_dict() == default
 
     def test_on_result_streams_in_index_order_for_serial(self):
         seen: list[int] = []
         SerialBackend().run(
-            make_runner().specs(), on_result=lambda r: seen.append(r.index)
+            point_spec.specs(), on_result=lambda r: seen.append(r.index)
         )
         assert seen == [0, 1, 2, 3]
 
     def test_should_stop_interrupts_with_completed_results(self):
-        specs = make_runner().specs()
+        specs = point_spec.specs()
         seen: list[int] = []
         with pytest.raises(SweepInterrupted) as excinfo:
             SerialBackend().run(
@@ -119,10 +111,7 @@ class TestBackends:
     def test_multiprocess_validation(self):
         with pytest.raises(ConfigurationError):
             MultiprocessBackend(1)
-        with pytest.raises(ConfigurationError):
-            MultiprocessBackend(2, chunksize=0)
         assert MultiprocessBackend(2).effective_chunksize(64) == 8
-        assert MultiprocessBackend(2, chunksize=3).effective_chunksize(64) == 3
 
     def test_auto_chunksize_small_grids(self):
         from repro.dispatch.backend import MIN_AUTO_CHUNK, auto_chunksize
@@ -142,6 +131,9 @@ class TestBackends:
     def test_default_backend_shape(self):
         assert isinstance(default_backend(1), SerialBackend)
         assert isinstance(default_backend(4), MultiprocessBackend)
+        for workers in (0, -1):
+            with pytest.raises(ConfigurationError):
+                default_backend(workers)
 
     def test_make_backend_names(self):
         assert make_backend("serial").name == "serial"
@@ -149,6 +141,9 @@ class TestBackends:
         assert make_backend("socket", workers=2).name == "socket"
         with pytest.raises(ConfigurationError):
             make_backend("carrier-pigeon")
+        for name in BACKEND_NAMES:
+            with pytest.raises(ConfigurationError):
+                make_backend(name, workers=0)
         assert set(BACKEND_NAMES) == {"serial", "procs", "socket"}
 
 
@@ -249,6 +244,19 @@ class TestSweepSpec:
             SweepSpec(adversaries=("nope",))
         with pytest.raises(ConfigurationError):
             SweepSpec(trials=0)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"ns": (18, 1)},
+            {"channels": (1,)},
+            {"ts": (-1,)},
+            {"channels": (2, 3), "ts": (2,)},  # t >= C at the C=2 points
+        ],
+    )
+    def test_every_grid_point_obeys_the_model(self, axes):
+        with pytest.raises(ConfigurationError):
+            SweepSpec(**axes)
 
     def test_adversary_blind_workload_rejects_adversary_axis(self):
         with pytest.raises(ConfigurationError):
@@ -352,6 +360,27 @@ class TestSweepRunnerSerial:
         partial = state.partial_report()
         assert partial["points"] == []
         assert [p["point_index"] for p in partial["pending_points"]] == [0]
+
+    def test_summary_line_whp_verdicts(self):
+        def summary(trials: int, failures: int) -> str:
+            spec = SweepSpec(ns=(N,), trials=trials)
+            results = [
+                fake_result(i, success=i >= failures) for i in range(trials)
+            ]
+            return SweepReport.build(spec, results).summary_line()
+
+        # 4 trials cannot check a 1/18 claim: say so, not "ok".
+        assert summary(4, 0).endswith("whp uninformative")
+        assert summary(80, 0).endswith("whp ok")
+        assert summary(80, 40).endswith("whp FAILED at points [0]")
+
+    def test_summary_line_ok_when_any_point_was_checkable(self):
+        spec = SweepSpec(ns=(N, 4000), trials=80)
+        results = [fake_result(i) for i in range(spec.total_trials)]
+        report = SweepReport.build(spec, results)
+        informative = [s["whp"]["informative"] for s in report.point_sections]
+        assert informative == [True, False]
+        assert report.summary_line().endswith("whp ok")
 
     def test_report_build_requires_completeness(self):
         with pytest.raises(DispatchError):

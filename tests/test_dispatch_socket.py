@@ -35,17 +35,18 @@ from repro.dispatch.socket_pool import (
     worker_main,
 )
 from repro.errors import ConfigurationError, DispatchError, SweepInterrupted
-from repro.experiments import MonteCarloRunner
 
 N = 18
 
 
-def make_runner(trials: int = 4, **kwargs) -> MonteCarloRunner:
-    kwargs.setdefault("n", N)
-    kwargs.setdefault("pairs", 4)
-    return MonteCarloRunner(
-        "fame", trials, seed=kwargs.pop("seed", 7), **kwargs
-    )
+def point_specs(
+    trials: int = 4, *, seed: int = 7, channels: int = 2, t: int = 1
+):
+    """The trial specs of a one-point fame grid, indices 0..trials-1."""
+    return SweepSpec(
+        ns=(N,), channels=(channels,), ts=(t,), trials=trials, seed=seed,
+        pairs=4,
+    ).specs()
 
 
 class TestFraming:
@@ -90,12 +91,12 @@ class TestBatching:
     """Unit coverage for the v2 batching machinery (no sockets)."""
 
     def test_spec_context_round_trip(self):
-        for spec in make_runner(trials=3, channels=3, t=2).specs():
+        for spec in point_specs(trials=3, channels=3, t=2):
             ctx = spec_context(spec)
             assert spec_from_context(ctx, spec.index, spec.seed) == spec
 
     def test_unapplied_specs_filters_applied_indices(self):
-        specs = make_runner(trials=6).specs()
+        specs = point_specs(trials=6)
         in_flight = {s.index: s for s in specs[:4]}
         # Indices 1 and 3 already have results; 0 and 2 are still missing
         # (index 5 is missing too but was never in flight here).
@@ -140,7 +141,7 @@ class TestBatching:
 
 class TestSocketBackendEndToEnd:
     def test_two_real_workers_match_serial(self):
-        specs = make_runner(trials=4).specs()
+        specs = point_specs(trials=4)
         serial = SerialBackend().run(specs)
         backend = SocketBackend(workers=2, accept_timeout=60.0)
         assert backend.run(specs) == serial
@@ -148,7 +149,7 @@ class TestSocketBackendEndToEnd:
         assert [p.wait(timeout=10) for p in backend.spawned] == [0, 0]
 
     def test_lost_worker_requeues_in_flight_trials(self):
-        specs = make_runner(trials=4).specs()
+        specs = point_specs(trials=4)
         serial = SerialBackend().run(specs)
         backend = SocketBackend(workers=2, accept_timeout=60.0)
         killed = []
@@ -163,7 +164,7 @@ class TestSocketBackendEndToEnd:
         assert backend.run(specs, on_result=kill_one) == serial
 
     def test_all_workers_dead_is_a_dispatch_error(self):
-        specs = make_runner(trials=4).specs()
+        specs = point_specs(trials=4)
         backend = SocketBackend(workers=1, accept_timeout=60.0)
 
         def kill_all(result) -> None:
@@ -174,8 +175,8 @@ class TestSocketBackendEndToEnd:
             backend.run(specs, on_result=kill_all)
 
     def test_warm_pool_reused_across_runs(self):
-        specs_a = make_runner(trials=4).specs()
-        specs_b = make_runner(trials=4, seed=11).specs()
+        specs_a = point_specs(trials=4)
+        specs_b = point_specs(trials=4, seed=11)
         serial_a = SerialBackend().run(specs_a)
         serial_b = SerialBackend().run(specs_b)
         backend = SocketBackend(
@@ -282,7 +283,7 @@ def _free_port() -> int:
 
 class TestHandshake:
     def test_protocol_mismatch_rejected_but_sweep_continues(self):
-        specs = make_runner(trials=2).specs()
+        specs = point_specs(trials=2)
         serial = SerialBackend().run(specs)
         port = _free_port()
         backend = SocketBackend(
@@ -301,7 +302,7 @@ class TestHandshake:
         assert out.get("results") == serial
 
     def test_duplicate_results_from_worker_are_dropped(self):
-        specs = make_runner(trials=3).specs()
+        specs = point_specs(trials=3)
         serial = SerialBackend().run(specs)
         port = _free_port()
         backend = SocketBackend(
@@ -343,7 +344,7 @@ class TestWorkerMain:
             listener.close()
 
     def test_worker_runs_batches_until_shutdown(self):
-        specs = make_runner(trials=2).specs()
+        specs = point_specs(trials=2)
         expected = SerialBackend().run(specs)
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
@@ -384,7 +385,7 @@ class TestWorkerMain:
         assert got["results"]["elapsed"] > 0
 
     def test_worker_batch_before_contexts_exits_1(self):
-        spec = make_runner(trials=1).specs()[0]
+        spec = point_specs(trials=1)[0]
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen()
@@ -407,6 +408,60 @@ class TestWorkerMain:
         finally:
             thread.join(timeout=30)
             listener.close()
+
+
+class TestNagle:
+    def test_accepted_connections_disable_nagle(self):
+        port = _free_port()
+        backend = SocketBackend(
+            workers=1, port=port, spawn_workers=False, keep_alive=True,
+            accept_timeout=60.0,
+        )
+        worker = _FakeWorker(port)
+        worker.start()
+        try:
+            assert backend.warm_up(timeout=60.0) == 1
+            (conn,) = backend._conns.values()
+            assert conn.sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+        finally:
+            backend.close()
+        worker.join(timeout=30)
+
+    def test_worker_connection_disables_nagle(self, monkeypatch):
+        opened: list[socket.socket] = []
+        connect = socket.create_connection
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recording_connect)
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        port = listener.getsockname()[1]
+        got: dict = {}
+
+        def coordinator() -> None:
+            conn, _ = listener.accept()
+            recv_frame(conn)  # the worker sends hello once it is set up
+            got["nodelay"] = opened[0].getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            send_frame(conn, {"kind": "welcome"})
+            send_frame(conn, {"kind": "shutdown"})
+            conn.close()
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        try:
+            assert worker_main("127.0.0.1", port, retry_seconds=5.0) == 0
+        finally:
+            thread.join(timeout=30)
+            listener.close()
+        assert got["nodelay"]
 
 
 class TestKillAndResumeAcceptance:

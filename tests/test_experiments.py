@@ -1,4 +1,9 @@
-"""Tests for the Monte Carlo trial harness (``repro.experiments``)."""
+"""Tests for the Monte Carlo trial harness.
+
+``repro.experiments`` defines trials and workloads; a one-point
+:class:`~repro.dispatch.sweep.SweepSpec` runs them and its report folds
+the outcomes (the ``python -m repro montecarlo`` path).
+"""
 
 from __future__ import annotations
 
@@ -9,15 +14,21 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.dispatch import (
+    MultiprocessBackend,
+    SweepReport,
+    SweepRunner,
+    SweepSpec,
+    SweepState,
+    default_backend,
+)
 from repro.errors import ConfigurationError
 from repro.experiments import (
-    MonteCarloRunner,
     TrialResult,
     TrialSpec,
     WORKLOADS,
     default_pairs,
     run_trial,
-    trial_seed,
 )
 from repro.radio.actions import Transmit
 from repro.radio.messages import Message
@@ -28,85 +39,114 @@ from repro.rng import RngRegistry
 N = 18  # smallest population comfortably above the f-AME witness bound
 
 
-def make_runner(workers: int = 1, trials: int = 6, **kwargs) -> MonteCarloRunner:
-    kwargs.setdefault("n", N)
-    kwargs.setdefault("pairs", 4)
-    return MonteCarloRunner(
-        kwargs.pop("workload", "fame"),
-        trials,
+def make_spec(trials: int = 6, **kwargs) -> SweepSpec:
+    """A one-point grid, as ``python -m repro montecarlo`` builds it."""
+    return SweepSpec(
+        workloads=(kwargs.pop("workload", "fame"),),
+        ns=(kwargs.pop("n", N),),
+        adversaries=(kwargs.pop("adversary", "schedule"),),
+        trials=trials,
         seed=kwargs.pop("seed", 7),
-        workers=workers,
+        pairs=kwargs.pop("pairs", 4),
         **kwargs,
     )
 
 
-def metrics_json(report) -> str:
-    return json.dumps(report.as_dict()["merged_metrics"], sort_keys=True)
+def run_point(workers: int = 1, trials: int = 6, **kwargs) -> SweepReport:
+    return SweepRunner(
+        make_spec(trials, **kwargs), backend=default_backend(workers)
+    ).run()
+
+
+def section(report: SweepReport) -> dict:
+    (point,) = report.as_dict()["points"]
+    return point
+
+
+def build_section(trials: int, results) -> dict:
+    return section(SweepReport.build(make_spec(trials), results))
+
+
+def metrics_json(report: SweepReport) -> str:
+    return json.dumps(section(report)["merged_metrics"], sort_keys=True)
 
 
 class TestTrialSeeds:
-    def test_seeds_come_from_spawn_trial_index(self):
-        runner = make_runner()
-        root = RngRegistry(seed=7)
-        for spec in runner.specs():
-            assert spec.seed == root.spawn("trial", spec.index).seed
-            assert spec.seed == trial_seed(7, spec.index)
-
     def test_seeds_independent_of_worker_count(self):
-        assert make_runner(workers=1).specs() == make_runner(workers=4).specs()
+        serial = run_point(workers=1).results
+        parallel = run_point(workers=4).results
+        assert [r.seed for r in serial] == [r.seed for r in parallel]
+        expected = [s.seed for s in make_spec().specs()]
+        assert [r.seed for r in serial] == expected
 
     def test_seeds_are_distinct_across_trials(self):
-        seeds = [s.seed for s in make_runner(trials=32).specs()]
+        seeds = [s.seed for s in make_spec(trials=32).specs()]
         assert len(set(seeds)) == len(seeds)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            make_runner(workload="nope")
+            make_spec(workload="nope")
         with pytest.raises(ConfigurationError):
-            make_runner(trials=0)
+            make_spec(trials=0)
         with pytest.raises(ConfigurationError):
-            make_runner(workers=0)
+            default_backend(0)
         with pytest.raises(ConfigurationError):
-            make_runner(adversary="nope")
-        with pytest.raises(ConfigurationError):
-            make_runner(chunksize=0)
+            make_spec(adversary="nope")
 
 
 class TestSerialParallelEquivalence:
     def test_merged_metrics_byte_identical(self):
-        serial = make_runner(workers=1).run()
-        parallel = make_runner(workers=2).run()
+        serial = run_point(workers=1)
+        parallel = run_point(workers=2)
         assert metrics_json(serial) == metrics_json(parallel)
-        assert serial.merged_metrics == parallel.merged_metrics
+        assert (
+            section(serial)["merged_metrics"]
+            == section(parallel)["merged_metrics"]
+        )
 
     def test_per_trial_results_identical(self):
-        serial = make_runner(workers=1).run()
-        parallel = make_runner(workers=2).run()
+        serial = run_point(workers=1)
+        parallel = run_point(workers=2)
         assert serial.results == parallel.results
-        assert serial.success == parallel.success
-        assert serial.disruptability_histogram == parallel.disruptability_histogram
+        assert (
+            section(serial)["success_rate"]
+            == section(parallel)["success_rate"]
+        )
+        assert (
+            section(serial)["disruptability"]
+            == section(parallel)["disruptability"]
+        )
 
-    def test_scheduling_order_irrelevant(self):
-        # chunksize=1 interleaves trials across workers; a large chunksize
-        # runs them in blocks.  Same report either way.
-        a = make_runner(workers=2, chunksize=1).run()
-        b = make_runner(workers=2, chunksize=6).run()
+    def test_scheduling_order_irrelevant(self, monkeypatch):
+        # One trial per dispatch interleaves trials across workers; six
+        # run them in one block.  Same report either way.
+        reports = []
+        for chunk in (1, 6):
+            monkeypatch.setattr(
+                MultiprocessBackend,
+                "effective_chunksize",
+                lambda self, batch_size, chunk=chunk: chunk,
+            )
+            reports.append(run_point(workers=2))
+        a, b = reports
         assert a.results == b.results
         assert metrics_json(a) == metrics_json(b)
 
     def test_aggregate_insensitive_to_result_order(self):
-        runner = make_runner(workers=1)
-        results = [run_trial(s) for s in runner.specs()]
-        assert runner.aggregate(results) == runner.aggregate(results[::-1])
+        spec = make_spec()
+        results = [run_trial(s) for s in spec.specs()]
+        assert SweepReport.build(spec, results).as_dict() == (
+            SweepReport.build(spec, results[::-1]).as_dict()
+        )
 
 
 class TestPickling:
     def test_trial_spec_round_trips(self):
-        spec = make_runner().specs()[0]
+        spec = make_spec().specs()[0]
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_trial_result_round_trips(self):
-        result = run_trial(make_runner().specs()[0])
+        result = run_trial(make_spec().specs()[0])
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
         assert clone.metrics == result.metrics
@@ -133,7 +173,7 @@ class TestPickling:
     def test_spec_round_trips_into_worker(self):
         # A pickled spec executed by a real worker process reproduces the
         # in-process result exactly.
-        spec = make_runner().specs()[0]
+        spec = make_spec().specs()[0]
         expected = run_trial(spec)
         with multiprocessing.get_context().Pool(1) as pool:
             [remote] = pool.map(run_trial, [spec])
@@ -150,7 +190,7 @@ class TestWorkloads:
             run_trial(spec)
 
     def test_fame_trial_shape(self):
-        result = run_trial(make_runner().specs()[0])
+        result = run_trial(make_spec().specs()[0])
         detail = result.detail_dict()
         assert detail["pairs"] == len(default_pairs(N, 4))
         assert detail["delivered"] + len(result.failed_pairs) == detail["pairs"]
@@ -159,7 +199,8 @@ class TestWorkloads:
 
     def test_groupkey_trial(self):
         spec = TrialSpec(
-            workload="groupkey", index=0, seed=trial_seed(3, 0), n=N,
+            workload="groupkey", index=0,
+            seed=RngRegistry(3).spawn("trial", 0).seed, n=N,
             adversary="random",
         )
         result = run_trial(spec)
@@ -170,7 +211,8 @@ class TestWorkloads:
 
     def test_gauntlet_trial_merges_all_gallery_runs(self):
         spec = TrialSpec(
-            workload="gauntlet", index=0, seed=trial_seed(5, 0), n=N, pairs=4
+            workload="gauntlet", index=0,
+            seed=RngRegistry(5).spawn("trial", 0).seed, n=N, pairs=4,
         )
         result = run_trial(spec)
         covers = dict(result.detail_dict()["covers"])
@@ -185,7 +227,7 @@ class TestWorkloads:
     def test_run_trial_precomputes_cover_in_worker(self):
         from repro.analysis.vertex_cover import min_vertex_cover
 
-        result = run_trial(make_runner().specs()[0])
+        result = run_trial(make_spec().specs()[0])
         assert result.cover is not None
         assert result.cover == len(min_vertex_cover(result.failed_pairs))
         assert result.disruptability() == result.cover
@@ -205,13 +247,11 @@ class TestAggregation:
     def test_whp_uninformative_at_small_trial_counts(self):
         # 6 trials cannot resolve a 1/18 claim: report says so instead of
         # vacuously confirming.
-        report = make_runner().run()
-        assert not report.whp_informative
-        assert report.whp_claim is None
-        assert report.as_dict()["whp"]["claim_holds"] is None
+        whp = section(run_point())["whp"]
+        assert not whp["informative"]
+        assert whp["claim_holds"] is None
 
     def test_whp_informative_with_synthetic_results(self):
-        runner = make_runner(trials=80, n=N)
         results = [
             TrialResult(
                 index=i, seed=i, success=True, failed_pairs=(),
@@ -219,21 +259,20 @@ class TestAggregation:
             )
             for i in range(80)
         ]
-        report = runner.aggregate(results)
-        assert report.whp_informative
-        assert report.whp_claim is True
-        assert report.merged_metrics.rounds == 80
+        point = build_section(80, results)
+        assert point["whp"]["informative"]
+        assert point["whp"]["claim_holds"] is True
+        assert point["merged_metrics"]["rounds"] == 80
 
     def test_aggregate_preserves_metrics_subclass_counters(self):
-        # The fold is seeded with the first result's metrics so subclass
-        # counters survive (merge enumerates fields(self)).
+        # merge promotes to the more derived operand, so subclass counters
+        # survive the fold from a plain NetworkMetrics seed.
         import dataclasses
 
         @dataclasses.dataclass
         class Extended(NetworkMetrics):
             dropped_frames: int = 0
 
-        runner = make_runner(trials=2)
         results = [
             TrialResult(
                 index=i, seed=i, success=True, failed_pairs=(),
@@ -241,27 +280,27 @@ class TestAggregation:
             )
             for i in range(2)
         ]
-        report = runner.aggregate(results)
-        assert report.merged_metrics.rounds == 2
-        assert report.merged_metrics.dropped_frames == 3
+        point = build_section(2, results)
+        assert point["merged_metrics"]["rounds"] == 2
+        assert point["merged_metrics"]["dropped_frames"] == 3
 
     def test_aggregate_rejects_empty_results(self):
+        state = SweepState(make_spec())
+        (point,) = make_spec().points()
         with pytest.raises(ConfigurationError):
-            make_runner().aggregate([])
+            state.point_report(point)
 
     def test_single_trial_merged_metrics_not_aliased(self):
         result = TrialResult(
             index=0, seed=0, success=True, failed_pairs=(),
             metrics=NetworkMetrics(rounds=5),
         )
-        report = make_runner(trials=1).aggregate([result])
-        assert report.merged_metrics == result.metrics
-        assert report.merged_metrics is not result.metrics
-        report.merged_metrics.rounds += 1  # must not touch the trial
+        point = build_section(1, [result])
+        assert point["merged_metrics"] == asdict(result.metrics)
+        point["merged_metrics"]["rounds"] += 1  # must not touch the trial
         assert result.metrics.rounds == 5
 
     def test_histogram_and_wilson(self):
-        runner = make_runner(trials=4)
         results = [
             TrialResult(
                 index=i, seed=i, success=(i % 2 == 0),
@@ -270,15 +309,20 @@ class TestAggregation:
             )
             for i in range(4)
         ]
-        report = runner.aggregate(results)
-        assert report.disruptability_histogram == {1: 3, 0: 1}
-        assert report.success.successes == 2
-        assert report.success.low < 0.5 < report.success.high
+        point = build_section(4, results)
+        assert point["disruptability"]["histogram"] == {"0": 1, "1": 3}
+        assert point["disruptability"]["max"] == 1
+        assert point["disruptability"]["mean"] == 0.75
+        rate = point["success_rate"]
+        assert rate["successes"] == 2
+        assert rate["wilson_low"] < 0.5 < rate["wilson_high"]
 
     def test_report_dict_is_json_serialisable(self):
-        payload = make_runner(trials=2).run().as_dict()
+        report = run_point(trials=2)
+        payload = report.as_dict()
         parsed = json.loads(json.dumps(payload, sort_keys=True))
-        assert parsed["trials"] == 2
-        assert parsed["merged_metrics"] == asdict(
-            make_runner(trials=2).run().merged_metrics
-        )
+        assert parsed["points"][0]["trials"] == 2
+        merged = NetworkMetrics()
+        for result in run_point(trials=2).results:
+            merged = merged.merge(result.metrics)
+        assert parsed["points"][0]["merged_metrics"] == asdict(merged)

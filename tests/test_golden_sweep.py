@@ -67,6 +67,19 @@ def test_sweep_report_matches_golden_digest(grid):
     assert _digest(GRIDS[grid]) == _golden()[grid]
 
 
+def test_montecarlo_command_writes_the_golden_report(tmp_path):
+    from repro.__main__ import main
+
+    out = tmp_path / "mc.json"
+    assert main(
+        ["montecarlo", "--trials", "4", "-n", "18", "--seed", "7",
+         "--json-out", str(out)]
+    ) == 0
+    text = json.dumps(json.loads(out.read_text()), sort_keys=True)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == _golden()["montecarlo"]
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_golden_sweep.py --record")

@@ -66,12 +66,14 @@ def test_greedy_schedules_are_always_valid(edges, star_seed):
     # plausible surrogate table (as a successful starring round would).
     stream = random.Random(star_seed)
     sources = sorted(graph.sources())
-    starred = {v for v in sources if stream.random() < 0.5}
+    starred = [v for v in sources if stream.random() < 0.5]
     surrogates = {}
     free_pool = [v for v in range(N) if v >= 20]
-    for i, v in enumerate(sorted(starred)):
+    size = witness_group_size(T)
+    # Each starring round hands its source a full witness group, so the
+    # pool backs at most len(free_pool) // size starred sources.
+    for i, v in enumerate(starred[: len(free_pool) // size]):
         graph.star(v)
-        size = witness_group_size(T)
         surrogates[v] = tuple(free_pool[i * size : (i + 1) * size])
 
     move = greedy_proposal(graph, T)
