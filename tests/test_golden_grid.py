@@ -22,7 +22,11 @@ cipher kept per-key hash state: ``ScheduleAwareJammer`` with the
 a ``BudgetAdversary`` that runs dry partway through a block, and
 ``SecureSession`` runs (preshared and group mode: send, flush, drain,
 re-key) whose traces pin ciphertext bytes.  Those cases also hash the
-adversary's private stream after the run.  Any engine change must
+adversary's private stream after the run.  The last batch was recorded
+before pairwise epochs became single hop blocks: oblivious gossip,
+group key and a preshared session on the restricted-listening model,
+sessions under the spoofer and a budget that runs dry mid-session, and
+bare pairwise-channel exchanges.  Any engine change must
 reproduce all of them; a mismatch means the change altered an
 execution, not just its speed.
 The feedback cases also replay through the reference paths of
@@ -56,6 +60,7 @@ from repro.adversary import (
     SpoofingAdversary,
     SweepJammer,
 )
+from repro.baselines.oblivious_gossip import run_oblivious_gossip
 from repro.crypto.dh import TEST_GROUP_64
 from repro.extensions.restricted_listening import (
     RestrictedListeningNetwork,
@@ -68,7 +73,7 @@ from repro.feedback.witness import WitnessAssignment
 from repro.groupkey import establish_group_key
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
-from repro.service import SecureSession
+from repro.service import PairwiseChannel, SecureSession
 
 from oracles.fame import run_fame_dense
 from oracles.feedback import (
@@ -196,8 +201,8 @@ def _fame(adversary, seed, parallel, run=run_fame):
     return _fingerprint_network(net, rng, _fame_result(res))
 
 
-def _groupkey(adversary, seed):
-    net = RadioNetwork(18, 2, 1, adversary=adversary)
+def _groupkey(adversary, seed, network=RadioNetwork):
+    net = network(18, 2, 1, adversary=adversary)
     rng = RngRegistry(seed=seed)
     res = establish_group_key(net, rng, group=TEST_GROUP_64)
     return _fingerprint_network(
@@ -300,15 +305,15 @@ def _groupkey_t2(adversary, seed):
     )
 
 
-def _service(adversary, seed, group_mode):
+def _service(adversary, seed, group_mode, network=RadioNetwork):
     """A service session: send, flush, drain every inbox, re-key, send
     again.  The trace pins every ciphertext the session put on the air."""
     if group_mode:
-        net = RadioNetwork(18, 2, 1, adversary=adversary)
+        net = network(18, 2, 1, adversary=adversary)
         rng = RngRegistry(seed=seed)
         session = SecureSession(net, rng, group=TEST_GROUP_64)
     else:
-        net = RadioNetwork(8, 2, 1, adversary=adversary)
+        net = network(8, 2, 1, adversary=adversary)
         rng = RngRegistry(seed=seed)
         session = SecureSession.from_preshared(
             net, bytes(range(32)), range(8), rng
@@ -331,6 +336,39 @@ def _service(adversary, seed, group_mode):
             repr(second),
             repr(session.stats),
             sorted(session.members),
+        ),
+    )
+
+
+def _pairwise(adversary, seed):
+    """Bare pairwise-channel exchanges in both directions, on base and
+    channel-aware epochs."""
+    net = RadioNetwork(8, 2, 1, adversary=adversary)
+    rng = RngRegistry(seed=seed)
+    key = hashlib.sha256(b"pair-%d" % seed).digest()
+    base = PairwiseChannel(net, key, 2, 5)
+    aware = PairwiseChannel(net, key[::-1], 6, 1, channel_aware_epochs=True)
+    deliveries = [
+        channel.send(sender, bytes([i]) * (5 * i + 1))
+        for i, (channel, sender) in enumerate(
+            [(base, 2), (base, 5), (aware, 1), (base, 2), (aware, 6)]
+        )
+    ]
+    return _fingerprint_network(net, rng, repr(deliveries))
+
+
+def _oblivious_gossip(adversary, seed):
+    net = RadioNetwork(10, 2, 1, adversary=adversary)
+    rng = RngRegistry(seed=seed)
+    res = run_oblivious_gossip(net, rng, max_rounds=2000)
+    return _fingerprint_network(
+        net,
+        rng,
+        (
+            res.rounds,
+            res.completed,
+            [sorted(known) for known in res.knowledge],
+            res.spoofed_rumors_accepted,
         ),
     )
 
@@ -368,6 +406,26 @@ PLANNED_ROWS = {
         lambda adv, seed: _service(adv, seed, True),
         lambda rng: ScheduleAwareJammer(rng),
     ),
+    "service-preshared/spoof": (
+        lambda adv, seed: _service(adv, seed, False),
+        lambda rng: SpoofingAdversary(rng),
+    ),
+    # 200 rounds run dry during the re-key epochs.
+    "service-preshared/budget-random": (
+        lambda adv, seed: _service(adv, seed, False),
+        lambda rng: BudgetAdversary(RandomJammer(rng), 200),
+    ),
+    "service-group/spoof": (
+        lambda adv, seed: _service(adv, seed, True),
+        lambda rng: SpoofingAdversary(rng),
+    ),
+    # 5 950 rounds outlast the group-key setup and run dry while re-keying.
+    "service-group/budget-random": (
+        lambda adv, seed: _service(adv, seed, True),
+        lambda rng: BudgetAdversary(RandomJammer(rng), 5950),
+    ),
+    "pairwise/random": (_pairwise, lambda rng: RandomJammer(rng)),
+    "pairwise/spoof": (_pairwise, lambda rng: SpoofingAdversary(rng)),
 }
 
 
@@ -398,6 +456,23 @@ def _restricted_feedback(seed):
     )
 
 
+def _sticky_network(n, channels, t, adversary=None):
+    """The restricted-listening model, which resolves every schedule
+    through its ``execute_round`` override."""
+    return RestrictedListeningNetwork(n, channels, t, StickyEavesdropper([1]))
+
+
+RESTRICTED_ROWS = {
+    "restricted-groupkey": lambda seed: _groupkey(None, seed, _sticky_network),
+    "restricted-service-preshared": lambda seed: _service(
+        None, seed, False, _sticky_network
+    ),
+}
+
+
+GOSSIP_ADVERSARIES = ("random", "sweep")
+
+
 def _cases() -> dict[str, object]:
     cases: dict[str, object] = {}
     for seed in SEEDS:
@@ -411,6 +486,14 @@ def _cases() -> dict[str, object]:
         cases[f"restricted-feedback/sticky/{seed}"] = (
             lambda seed=seed: _restricted_feedback(seed)
         )
+        for row, run in RESTRICTED_ROWS.items():
+            cases[f"{row}/sticky/{seed}"] = lambda run=run, seed=seed: run(seed)
+        for name in GOSSIP_ADVERSARIES:
+            cases[f"oblivious-gossip/{name}/{seed}"] = (
+                lambda factory=ADVERSARIES[name], seed=seed: _oblivious_gossip(
+                    factory(seed), seed
+                )
+            )
         rows = {
             f"{workload}/{name}": (run, factory)
             for workload, run in WORKLOADS.items()
