@@ -54,10 +54,12 @@ from . import __version__
 from .adversary import Adversary
 from .crypto.dh import TEST_GROUP_128
 from .dispatch import (
+    BACKEND_NAMES,
+    MultiprocessBackend,
+    SerialBackend,
     SweepRunner,
     SweepSpec,
     default_backend,
-    make_backend,
     worker_main,
 )
 from .dispatch.socket_pool import SocketBackend, parse_endpoint
@@ -224,16 +226,21 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def _sweep_backend(args: argparse.Namespace):
-    if args.backend == "socket":
-        host, port = parse_endpoint(args.bind)
-        return SocketBackend(
-            workers=args.workers,
-            host=host,
-            port=port,
-            spawn_workers=not args.no_spawn_workers,
-            batch_size=args.batch_size,
-        )
-    return make_backend(args.backend, workers=args.workers)
+    """The backend ``--backend`` names; ``procs`` runs >= 2 processes."""
+    if args.workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
+    if args.backend == "serial":
+        return SerialBackend()
+    if args.backend == "procs":
+        return MultiprocessBackend(max(2, args.workers))
+    host, port = parse_endpoint(args.bind)
+    return SocketBackend(
+        workers=args.workers,
+        host=host,
+        port=port,
+        spawn_workers=not args.no_spawn_workers,
+        batch_size=args.batch_size,
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -561,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--pairs", type=int, default=5)
     sw.add_argument(
-        "--backend", choices=("serial", "procs", "socket"), default="serial"
+        "--backend", choices=BACKEND_NAMES, default="serial"
     )
     sw.add_argument("--workers", "-j", type=int, default=2,
                     help="pool size for the procs/socket backends")

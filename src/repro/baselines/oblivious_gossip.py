@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from ..errors import ProtocolViolation
 from ..radio.actions import Transmit
 from ..radio.messages import Message
-from ..radio.network import (
-    CompiledRound,
-    RadioNetwork,
-    RoundMeta,
-    RoundSchedule,
-)
+from ..radio.network import HopBlock, RadioNetwork, RoundMeta, RoundSchedule
 from ..rng import RngRegistry
 
 GOSSIP_RUMOR_KIND = "oblivious-rumor"
@@ -80,13 +75,13 @@ def run_oblivious_gossip(
     streams = [rng.stream("oblivious", node) for node in range(n)]
     meta = RoundMeta(phase="oblivious-gossip")
     # The protocol is oblivious by definition, but the *stopping rule* is
-    # not (completion is re-checked every round), so rounds are compiled
-    # and submitted one at a time; the win here is the channel-grouped
-    # listener fan-out, which only touches listeners that decoded a frame.
+    # not (completion is re-checked every round), so each round is one
+    # block submitted on its own; the listener fan-out only touches the
+    # channels that decoded a frame.
     while not done() and rounds < max_rounds:
         transmits: dict[int, Transmit] = {}
+        listening: dict[int, int] = {}
         by_channel: dict[int, list[int]] = {}
-        listen_count = 0
         for node in range(n):
             stream = streams[node]
             channel = stream.randrange(network.channels)
@@ -100,20 +95,10 @@ def run_oblivious_gossip(
                     ),
                 )
             else:
+                listening[node] = channel
                 by_channel.setdefault(channel, []).append(node)
-                listen_count += 1
-        [heard] = network.execute_schedule(
-            RoundSchedule(
-                [
-                    CompiledRound(
-                        transmits=transmits,
-                        listens=by_channel,
-                        meta=meta,
-                        listen_count=listen_count,
-                    )
-                ]
-            )
-        )
+        block = HopBlock.single_round(transmits, listening, network.channels, meta)
+        [heard] = network.execute_schedule(RoundSchedule([block]))
         rounds += 1
         for channel, frame in heard.items():
             if frame.kind != GOSSIP_RUMOR_KIND:
@@ -122,7 +107,7 @@ def run_oblivious_gossip(
                 _tag, rumor = frame.payload
             except (TypeError, ValueError):
                 continue
-            for node in by_channel[channel]:
+            for node in by_channel.get(channel, ()):
                 # No authentication: the rumor is accepted as-is.
                 if not isinstance(rumor, int) or not 0 <= rumor < n:
                     spoofs_accepted += 1

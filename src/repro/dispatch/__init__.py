@@ -48,7 +48,6 @@ from .backend import (
     ResultAssembler,
     SerialBackend,
     default_backend,
-    make_backend,
 )
 from .journal import SweepJournal
 from .socket_pool import SocketBackend, worker_main
@@ -78,6 +77,5 @@ __all__ = [
     "SweepState",
     "default_backend",
     "loads_restricted",
-    "make_backend",
     "worker_main",
 ]

@@ -258,30 +258,4 @@ def default_backend(workers: int) -> DispatchBackend:
 
 
 BACKEND_NAMES = ("serial", "procs", "socket")
-"""CLI names accepted by :func:`make_backend` (and ``--backend``)."""
-
-
-def make_backend(
-    name: str,
-    *,
-    workers: int = 2,
-    batch_size: int | None = None,
-) -> DispatchBackend:
-    """Instantiate a backend by CLI name.
-
-    ``workers`` must be >= 1 whatever the backend (``procs`` runs at
-    least two processes); ``batch_size`` pins the socket backend's
-    per-assignment batch (``None`` keeps it adaptive).
-    """
-    _check_workers(workers)
-    if name == "serial":
-        return SerialBackend()
-    if name == "procs":
-        return MultiprocessBackend(max(2, workers))
-    if name == "socket":
-        from .socket_pool import SocketBackend
-
-        return SocketBackend(workers=workers, batch_size=batch_size)
-    raise ConfigurationError(
-        f"unknown dispatch backend {name!r}; pick from {BACKEND_NAMES}"
-    )
+"""Backend names ``python -m repro sweep --backend`` accepts."""

@@ -55,9 +55,12 @@ against malformed prefixes):
   ...]}``; worker → ``{"kind": "results", "results": [TrialResult, ...],
   "elapsed": seconds}`` (one merged frame per batch; ``elapsed`` is the
   worker-side compute time feeding the adaptive batch size) or
-  ``{"kind": "error", ...}`` if a trial itself raised — deterministic
-  trials fail the same way everywhere, so that aborts the run instead of
-  requeue-looping;
+  ``{"kind": "error", "index": ..., "type": ..., "message": ...}`` if a
+  trial itself raised — deterministic trials fail the same way
+  everywhere, so that aborts the run instead of requeue-looping (a
+  :class:`~repro.errors.ConfigurationError` is raised again as itself, as
+  the in-process backends raise it, and anything else as a
+  :class:`~repro.errors.DispatchError`);
 * coordinator → ``{"kind": "shutdown"}`` once the pool is released.
 
 Fault model
@@ -338,7 +341,8 @@ def worker_main(
                         {
                             "kind": "error",
                             "index": index,
-                            "error": f"{type(exc).__name__}: {exc}",
+                            "type": type(exc).__name__,
+                            "message": str(exc),
                         },
                     )
                     failed = True
@@ -811,9 +815,12 @@ class SocketBackend(DispatchBackend):
                 assign(conn)
                 return
             if kind == "error":
+                error, message = frame.get("type"), frame.get("message")
+                if error == ConfigurationError.__name__:
+                    raise ConfigurationError(message)
                 raise DispatchError(
                     f"trial {frame.get('index')} failed on worker "
-                    f"pid={conn.peer.get('pid')}: {frame.get('error')}"
+                    f"pid={conn.peer.get('pid')}: {error}: {message}"
                 )
             raise DispatchError(f"unexpected frame from worker: {frame!r}")
 

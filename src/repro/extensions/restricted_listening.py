@@ -79,9 +79,9 @@ class RestrictedListeningNetwork(RadioNetwork):
     Compiled :class:`~repro.radio.network.RoundSchedule` submissions are
     supported: because this class overrides :meth:`execute_round`, the base
     :meth:`~repro.radio.network.RadioNetwork.execute_schedule` detects the
-    customisation and expands each compiled round through the override, so
-    the monitor-before-act semantics and per-round redaction apply to
-    schedule-driven protocols unchanged.
+    customisation and expands every round of each block through the
+    override, so the monitor-before-act semantics and per-round redaction
+    apply to schedule-driven protocols unchanged.
     """
 
     def __init__(

@@ -57,7 +57,7 @@ from ..game.rules import check_proposal
 from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
-    CompiledRound,
+    HopBlock,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
@@ -206,12 +206,10 @@ class FameProtocol:
             schedule=schedule.meta_schedule(),
             extra={"move": move_index},
         )
-        by_channel: dict[int, list[int]] = {}
-        for listener, channel in listener_channels.items():
-            by_channel.setdefault(channel, []).append(listener)
-        [heard] = self.network.execute_schedule(
-            RoundSchedule([CompiledRound.make(transmits, by_channel, meta)])
+        block = HopBlock.single_round(
+            transmits, listener_channels, self.network.channels, meta
         )
+        [heard] = self.network.execute_schedule(RoundSchedule([block]))
         results = {
             listener: heard.get(channel)
             for listener, channel in listener_channels.items()

@@ -34,7 +34,7 @@ group key.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..crypto.dh import DEFAULT_GROUP, DhGroup, pairwise_context
 from ..crypto.hashes import h2
@@ -43,13 +43,15 @@ from ..crypto.stream import AuthenticatedCipher, Ciphertext, nonce_from_counter
 from ..errors import ConfigurationError, CryptoError
 from ..fame.config import FameConfig, make_config
 from ..fame.protocol import FameProtocol
-from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
-    CompiledRound,
+    HopBlock,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    TransmitColumn,
+    hop_hits,
+    hop_row,
 )
 from ..rng import BlockDrawer, RngRegistry
 from .result import GroupKeyResult
@@ -216,73 +218,58 @@ class GroupKeyProtocol:
                 if pair_key is None:
                     # The epoch still burns its rounds in lockstep (the
                     # adversary acts; nothing is sent on this pair's behalf).
-                    idle = CompiledRound(
-                        transmits={}, listens={}, meta=meta, listen_count=0
-                    )
-                    self.network.execute_schedule(
-                        RoundSchedule([idle] * epoch_rounds)
-                    )
+                    idle = HopBlock(epoch_rounds, {}, (), (), (), meta)
+                    self.network.execute_schedule(RoundSchedule([idle]))
                     epoch_index += 1
                     continue
                 hopper = ChannelHopper(
                     pair_key, channels, label=("part2", v, w)
                 )
                 cipher = AuthenticatedCipher(pair_key)
-                # The whole epoch is deterministic given the pair key:
-                # compile it and submit it in one batch.
-                epoch: list[CompiledRound] = []
-                hops: list[int] = []
-                for r in range(epoch_rounds):
-                    channel = hopper.channel(r)
-                    if v in leader_keys:
-                        sealed = cipher.encrypt(
-                            leader_keys[v],
-                            nonce=nonce_from_counter(epoch_index, r),
-                            associated=b"leader-key",
-                        )
-                        payload: Any = ("key", sealed.as_tuple())
-                    else:
-                        sealed = cipher.encrypt(
-                            b"",
-                            nonce=nonce_from_counter(epoch_index, r),
-                            associated=b"incomplete",
-                        )
-                        payload = ("incomplete", sealed.as_tuple())
-                    epoch.append(
-                        CompiledRound(
-                            transmits={
-                                v: Transmit(
-                                    channel,
-                                    Message(
-                                        kind=LEADER_KEY_KIND,
-                                        sender=v,
-                                        payload=payload,
-                                    ),
-                                )
-                            },
-                            listens={channel: (w,)},
-                            meta=meta,
-                            listen_count=1,
-                        )
+                # The whole epoch is deterministic given the pair key: one
+                # block in which v hops with w and seals a fresh ciphertext
+                # each round.
+                if v in leader_keys:
+                    plaintext, associated, tag = (
+                        leader_keys[v], b"leader-key", "key"
                     )
-                    hops.append(channel)
-                heard = self.network.execute_schedule(RoundSchedule(epoch))
+                else:
+                    plaintext, associated, tag = b"", b"incomplete", "incomplete"
+                frames = tuple(
+                    Message(
+                        kind=LEADER_KEY_KIND,
+                        sender=v,
+                        payload=(
+                            tag,
+                            cipher.encrypt(
+                                plaintext,
+                                nonce=nonce_from_counter(epoch_index, r),
+                                associated=associated,
+                            ).as_tuple(),
+                        ),
+                    )
+                    for r in range(epoch_rounds)
+                )
+                hops = hop_row(map(hopper.channel, range(epoch_rounds)), channels)
+                epoch = HopBlock.hopping_epoch(hops, channels, {v: frames}, (w,), meta)
+                heard = self.network.execute_schedule(RoundSchedule([epoch]))
                 for channel, per_round in zip(hops, heard):
                     frame = per_round.get(channel)
                     if frame is None or frame.kind != LEADER_KEY_KIND:
                         continue
                     try:
                         tag, sealed_tuple = frame.payload
-                        sealed = Ciphertext.from_tuple(sealed_tuple)
-                        if tag == "key":
-                            plaintext = cipher.decrypt(
-                                sealed, associated=b"leader-key"
-                            )
-                            received[w][v] = plaintext
-                        else:
-                            cipher.decrypt(sealed, associated=b"incomplete")
+                        if tag != "key":
+                            continue  # an incomplete leader sends no key
+                        plaintext = cipher.decrypt(
+                            Ciphertext.from_tuple(sealed_tuple),
+                            associated=b"leader-key",
+                        )
                     except (CryptoError, TypeError, ValueError):
                         continue  # forged or malformed — rejected
+                    # Accepted: the epoch's later frames carry the same key.
+                    received[w][v] = plaintext
+                    break
                 epoch_index += 1
         result.received_leader_keys = {
             node: dict(keys) for node, keys in received.items()
@@ -313,6 +300,20 @@ class GroupKeyProtocol:
             )
         epoch_rounds = self.network.params.gossip_epoch_rounds(self.n, self.t)
         channels = self.network.channels
+        all_channels = tuple(range(channels))
+
+        def classify(got: Message) -> tuple[int, int, bytes] | None:
+            """A decoded report as ``(claimed reporter, leader, key hash)``,
+            or ``None`` when it is malformed or names no reporter."""
+            if got.kind != REPORT_KIND:
+                return None
+            try:
+                claimed_reporter, leader, key_hash = got.payload
+            except (TypeError, ValueError):
+                return None
+            if claimed_reporter in reporters and isinstance(key_hash, bytes):
+                return claimed_reporter, leader, key_hash
+            return None
 
         # reports[node][(leader, key_hash)] = set of claimed reporter ids.
         reports: dict[int, dict[tuple[int, bytes], set[int]]] = {
@@ -341,61 +342,35 @@ class GroupKeyProtocol:
             # the batched BlockDrawer (``randrange(channels)`` bottoms out
             # in the same getrandbits rejection chain — see the invariant
             # in repro.rng — so per-stream consumption is byte-identical
-            # to the historical per-round ``randrange`` loop) and compile
-            # the whole epoch; listeners resolve lazily per channel group.
-            # A silent reporter (no frame) draws nothing, as before.
+            # to the historical per-round ``randrange`` loop) and submit
+            # the whole epoch as one block: the listeners keep their
+            # private hop rows and the reporter is the transmit column.
+            # A silent reporter (no frame) draws nothing and sleeps.
             meta = RoundMeta(
                 phase="groupkey-part3", extra={"reporter": reporter}
             )
             drawer = BlockDrawer(channels)
-            hop_matrix: list[list[int] | None] = [
-                None
-                if node == reporter and frame is None
-                else drawer.draw(streams[node], epoch_rounds)
-                for node in range(self.n)
-            ]
-            epoch: list[CompiledRound] = []
-            fanouts: list[dict[int, list[int]]] = []
-            for rnd in range(epoch_rounds):
-                transmits: dict[int, Transmit] = {}
-                by_channel: dict[int, list[int]] = {}
-                listen_count = 0
-                for node in range(self.n):
-                    if node == reporter:
-                        if frame is not None:
-                            transmits[node] = Transmit(
-                                hop_matrix[node][rnd], frame
-                            )
-                    else:
-                        by_channel.setdefault(
-                            hop_matrix[node][rnd], []
-                        ).append(node)
-                        listen_count += 1
-                epoch.append(
-                    CompiledRound(
-                        transmits=transmits,
-                        listens=by_channel,
-                        meta=meta,
-                        listen_count=listen_count,
-                    )
+            rows = {
+                node: hop_row(
+                    drawer.draw(streams[node], epoch_rounds), channels
                 )
-                fanouts.append(by_channel)
-            heard = self.network.execute_schedule(RoundSchedule(epoch))
-            for by_channel, per_round in zip(fanouts, heard):
-                for channel, got in per_round.items():
-                    if got.kind != REPORT_KIND:
-                        continue
-                    try:
-                        claimed_reporter, leader, key_hash = got.payload
-                    except (TypeError, ValueError):
-                        continue
-                    if claimed_reporter in reporters and isinstance(
-                        key_hash, bytes
-                    ):
-                        for node in by_channel[channel]:
-                            reports[node][(leader, key_hash)].add(
-                                claimed_reporter
-                            )
+                for node in range(self.n)
+                if node != reporter or frame is not None
+            }
+            column = None
+            if frame is not None:
+                column = TransmitColumn(
+                    (reporter,), rows.pop(reporter), ((frame,) * epoch_rounds,)
+                )
+            block = HopBlock(
+                epoch_rounds, {}, all_channels, tuple(rows),
+                tuple(rows.values()), meta, column,
+            )
+            heard = self.network.execute_schedule(RoundSchedule([block]))
+            for position, report, mask in block.decoded_masks(heard, classify):
+                for node, row in rows.items():
+                    if hop_hits(row, position, mask):
+                        reports[node][report[1:]].add(report[0])
 
         # The agreement rule: adopt the smallest leader whose key the node
         # can verify and that gathered t+1 distinct (claimed) reporters.

@@ -19,11 +19,11 @@ from .actions import SLEEP, Action, Listen, Sleep, Transmit
 from .messages import DELTA_KIND, JAM, DeltaFrame, Jam, Message
 from .network import (
     AdversaryView,
-    CompiledRound,
     HopBlock,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    TransmitColumn,
 )
 from .shapes import ScheduleShapeCache
 from .trace import ExecutionTrace, RoundRecord, SparseDelivered
@@ -33,7 +33,6 @@ from .export import channel_occupancy, dump_trace, trace_to_records
 __all__ = [
     "Action",
     "AdversaryView",
-    "CompiledRound",
     "DELTA_KIND",
     "DeltaFrame",
     "ExecutionTrace",
@@ -52,6 +51,7 @@ __all__ = [
     "Sleep",
     "SparseDelivered",
     "Transmit",
+    "TransmitColumn",
     "channel_occupancy",
     "dump_trace",
     "frame_size",

@@ -152,14 +152,30 @@ def hop_hits(row: Sequence[int], position: int, mask: int) -> int:
     return int.from_bytes(hits, "little") & mask
 
 
+@dataclass(frozen=True, slots=True)
+class TransmitColumn:
+    """The transmitters of a :class:`HopBlock` that hop together.
+
+    In round ``r`` every sender transmits on position ``hops[r]`` of the
+    block's ``channels`` (a :func:`hop_row`), ``senders[i]`` sending
+    ``frames[i][r]``: one sender is a point-to-point epoch, several
+    collide.  A fixed frame repeats as one object (``(frame,) * rounds``),
+    which the engine sizes once.
+    """
+
+    senders: tuple[int, ...]
+    hops: Sequence[int]
+    frames: tuple[Sequence[Message], ...]
+
+
 @dataclass(slots=True)
 class HopBlock:
     """``rounds`` consecutive rounds of one oblivious repetition loop.
 
-    The unit :meth:`RadioNetwork.execute_schedule` resolves.  Who
-    transmits is fixed for the whole block, and every listener hops on
-    private coins drawn before the block starts, so the block is a static
-    transmitter template plus a hop matrix:
+    The unit :meth:`RadioNetwork.execute_schedule` resolves.  Every node's
+    role is fixed for the whole block, and every hop is drawn before the
+    block starts, so the block is a static transmitter template, an
+    optional hopping transmit column and a hop matrix:
 
     Attributes
     ----------
@@ -181,11 +197,14 @@ class HopBlock:
         in round ``r``.
     meta:
         Metadata of every round in the block.
+    column:
+        Transmitters whose channel or frame changes per round (see
+        :meth:`hopping_epoch`), or ``None``.
 
     A block is a value: build a new one rather than mutating one that a
     schedule holds.  (It is not frozen only because frozen construction
-    costs several times more, and the engine converts every
-    :class:`CompiledRound` into a block.)
+    costs several times more, and one-round protocols build a block per
+    round; see :meth:`single_round`.)
     """
 
     rounds: int
@@ -194,11 +213,62 @@ class HopBlock:
     listeners: tuple[int, ...]
     hops: tuple[Sequence[int], ...]
     meta: RoundMeta
+    column: TransmitColumn | None = None
+
+    @classmethod
+    def single_round(
+        cls,
+        transmits: Mapping[int, Transmit],
+        listening: Mapping[int, int],
+        channels: int,
+        meta: RoundMeta,
+    ) -> "HopBlock":
+        """One round of ``transmits`` with each ``listener -> channel`` of
+        ``listening``, over channels ``0 .. channels-1``."""
+        rows = _ONE_ROUND_ROWS if channels <= 256 else [(c,) for c in range(channels)]
+        return cls(
+            1,
+            transmits,
+            tuple(range(channels)),
+            tuple(listening),
+            tuple(map(rows.__getitem__, listening.values())),
+            meta,
+        )
+
+    @classmethod
+    def hopping_epoch(
+        cls,
+        hops: Sequence[int],
+        channels: int,
+        senders: Mapping[int, Sequence[Message]],
+        listeners: Sequence[int],
+        meta: RoundMeta,
+    ) -> "HopBlock":
+        """A key-derived epoch: ``senders`` (``node -> its frame in each
+        round``) and every listener hop together on ``hops``, a hop row
+        over channels ``0 .. channels-1``."""
+        column = None
+        if senders:
+            column = TransmitColumn(tuple(senders), hops, tuple(senders.values()))
+        return cls(
+            len(hops),
+            {},
+            tuple(range(channels)),
+            tuple(listeners),
+            (hops,) * len(listeners),
+            meta,
+            column,
+        )
 
     def round_actions(self, r: int) -> dict[int, Action]:
         """Round ``r``'s per-node action map: the template's transmitters
-        first, then the listeners in order."""
+        first, then the column's senders, then the listeners in order."""
         actions: dict[int, Action] = dict(self.transmits)
+        column = self.column
+        if column is not None:
+            channel = self.channels[column.hops[r]]
+            for sender, frames in zip(column.senders, column.frames):
+                actions[sender] = Transmit(channel, frames[r])
         listens = [Listen(channel) for channel in self.channels]
         for node, row in zip(self.listeners, self.hops):
             actions[node] = listens[row[r]]
@@ -245,117 +315,35 @@ class HopBlock:
         ]
 
 
-# Hop rows of one-round blocks, shared by every converted CompiledRound.
+# Hop rows of one-round blocks: row ``p`` sits on position ``p``.
 _ONE_ROUND_ROWS = tuple(bytes((p,)) for p in range(256))
-
-
-@dataclass(frozen=True)
-class CompiledRound:
-    """One precompiled round: the one-round case of a :class:`HopBlock`.
-
-    :class:`RoundSchedule` converts it with :meth:`as_block` on entry,
-    so the engine resolves both kinds through one loop.
-
-    Attributes
-    ----------
-    transmits:
-        ``node -> Transmit``.  Rounds may share one mapping object (the
-        engine validates each distinct mapping once per call).
-    listens:
-        ``channel -> ordered listener node ids``.  The keys become the
-        block's channel tuple: the round's result holds the decoded
-        messages of exactly these channels, even those whose group is
-        empty.
-    meta:
-        Round metadata, exactly as for :meth:`RadioNetwork.execute_round`.
-    listen_count:
-        Total listener count; must equal the groups' total (checked on
-        conversion — build rounds with :meth:`make` to derive it).
-    """
-
-    transmits: Mapping[int, Transmit]
-    listens: Mapping[int, Sequence[int]]
-    meta: RoundMeta
-    listen_count: int
-
-    @classmethod
-    def make(
-        cls,
-        transmits: Mapping[int, Transmit],
-        listens: Mapping[int, Sequence[int]],
-        meta: RoundMeta | None = None,
-    ) -> "CompiledRound":
-        """Build a round, deriving ``listen_count`` from the groups."""
-        return cls(
-            transmits=transmits,
-            listens=listens,
-            meta=meta or RoundMeta(),
-            listen_count=sum(len(group) for group in listens.values()),
-        )
-
-    def as_block(self) -> HopBlock:
-        """This round as a one-round :class:`HopBlock`.
-
-        Listeners keep their channel-group order, so the block's action
-        map lists the transmitters, then each group in channel order.
-        """
-        listens = self.listens
-        if len(listens) == 1:  # the common case: everyone on one channel
-            ((channel, group),) = listens.items()
-            listeners = tuple(group)
-            hops = (_ONE_ROUND_ROWS[0],) * len(listeners)
-        else:
-            grouped: list[int] = []
-            rows: list[Sequence[int]] = []
-            for pos, group in enumerate(listens.values()):
-                grouped += group
-                row = _ONE_ROUND_ROWS[pos] if pos < 256 else (pos,)
-                rows += (row,) * len(group)
-            listeners = tuple(grouped)
-            hops = tuple(rows)
-        if len(listeners) != self.listen_count:
-            raise ProtocolViolation(
-                f"compiled round declares listen_count={self.listen_count} "
-                f"but its groups hold {len(listeners)} listeners "
-                "(build rounds with CompiledRound.make)"
-            )
-        return HopBlock(
-            1, self.transmits, tuple(listens), listeners, hops, self.meta
-        )
 
 
 class RoundSchedule:
     """A precompiled, data-independent batch of rounds.
 
     Protocols whose round structure is *oblivious* — fixed repetition
-    loops, deterministic sweeps, precomputed random hop sequences — compile
-    the whole loop once and submit it through
-    :meth:`RadioNetwork.execute_schedule`.  A schedule is a sequence of
-    :class:`HopBlock` entries (a multi-round loop with one template and a
-    hop matrix) and :class:`CompiledRound` entries (one round with
-    arbitrary transmitters).  ``rounds`` keeps the entries as submitted;
-    ``blocks`` holds them all as hop blocks, converted on entry, and is
-    what the engine resolves.  ``len()`` counts simulated rounds.
+    loops, deterministic sweeps, precomputed random hop sequences, key-
+    derived hopping epochs — compile the whole loop once and submit it
+    through :meth:`RadioNetwork.execute_schedule` as a sequence of
+    :class:`HopBlock` entries, which is what the engine resolves.
+    ``len()`` counts simulated rounds.
 
     A schedule is a plain value (picklable when its messages are), which is
     what makes it a unit of work that can later be fanned out to worker
     processes.
     """
 
-    __slots__ = ("rounds", "blocks")
+    __slots__ = ("blocks",)
 
-    def __init__(self, rounds: Iterable["CompiledRound | HopBlock"]) -> None:
-        self.rounds = tuple(rounds)
-        self.blocks = tuple(
-            entry if isinstance(entry, HopBlock) else entry.as_block()
-            for entry in self.rounds
-        )
+    def __init__(self, blocks: Iterable[HopBlock]) -> None:
+        self.blocks = tuple(blocks)
 
     def __len__(self) -> int:
         return sum(block.rounds for block in self.blocks)
 
-    def __iter__(self) -> Iterator["CompiledRound | HopBlock"]:
-        return iter(self.rounds)
+    def __iter__(self) -> Iterator[HopBlock]:
+        return iter(self.blocks)
 
     def as_action_batches(
         self,
@@ -689,8 +677,10 @@ class RadioNetwork:
         rest holds for every round of the block at once: valid, distinct
         channels; known listeners, each listed once and none of them
         transmitting (the states the per-node action API cannot even
-        represent stay unrepresentable here); and one in-range hop per
-        listener per round.
+        represent stay unrepresentable here); one in-range hop per
+        listener per round; and a column of known, distinct senders that
+        neither listen nor sit in the template, with one in-range hop per
+        round and one :class:`Message` per sender per round.
         """
         template = block.transmits
         if id(template) not in checked:
@@ -727,11 +717,9 @@ class RadioNetwork:
                 f"hop block has {len(hops)} hop rows for "
                 f"{len(listeners)} listeners"
             )
-        if not listeners:
-            return
         # min/max and the set ops run at C speed; only dig for the
         # per-node culprit on failure.
-        if not (0 <= min(listeners) and max(listeners) < self.n):
+        if listeners and not (0 <= min(listeners) and max(listeners) < self.n):
             bad = next(v for v in listeners if not 0 <= v < self.n)
             raise ProtocolViolation(f"unknown node id {bad}")
         listening = set(listeners)
@@ -744,19 +732,45 @@ class RadioNetwork:
             raise ProtocolViolation(
                 f"node {bad} is scheduled to both transmit and listen"
             )
+        rows = list(hops)
+        column = block.column
+        if column is not None:
+            senders = column.senders
+            if not senders:
+                raise ProtocolViolation("transmit column has no sender")
+            if not (0 <= min(senders) and max(senders) < self.n):
+                bad = next(v for v in senders if not 0 <= v < self.n)
+                raise ProtocolViolation(f"unknown node id {bad}")
+            if len(set(senders)) != len(senders):
+                raise ProtocolViolation("transmit column lists a sender twice")
+            busy = listening.union(template).intersection(senders)
+            if busy:
+                raise ProtocolViolation(
+                    f"column sender {min(busy)} also listens or sits in the "
+                    "transmit template"
+                )
+            frames = column.frames
+            if len(frames) != len(senders) or set(map(len, frames)) - {block.rounds}:
+                raise ProtocolViolation(
+                    f"transmit column of a {block.rounds}-round block needs "
+                    "one frame per sender per round"
+                )
+            if not all(isinstance(f, Message) for seq in frames for f in seq):
+                raise ProtocolViolation("transmit column holds a non-Message frame")
+            rows.append(column.hops)
         rounds = block.rounds
-        if set(map(len, hops)) != {rounds}:
+        if set(map(len, rows)) - {rounds}:
             raise ProtocolViolation(
                 f"hop block of {rounds} rounds holds a hop row of another "
                 "length"
             )
-        if not rounds:
+        if not rounds or not rows:
             return
         try:
             # Byte rows (the norm) hold no negative positions.
-            low, high = 0, max(b"".join(hops))
+            low, high = 0, max(b"".join(rows))
         except TypeError:  # tuple rows of a wide block
-            low, high = min(map(min, hops)), max(map(max, hops))
+            low, high = min(map(min, rows)), max(map(max, rows))
         if not 0 <= low <= high < width:
             raise ProtocolViolation(
                 f"hop row names a channel position outside the block's "
@@ -804,9 +818,10 @@ class RadioNetwork:
 
         Each block is validated once (:meth:`_validate_block`), its
         transmitter template is grouped by channel, sized and resolved
-        once, and each round only patches that resolution on the
-        channels the adversary touched.  Adversary interaction, metrics, the
-        round cap, and trace retention behave exactly as in
+        once, and each round only patches that resolution on the channel
+        its transmit column hops to (a lone sender needs no resolution) and
+        on the channels the adversary touched.  Adversary interaction,
+        metrics, the round cap, and trace retention behave exactly as in
         :meth:`execute_round`: per-round records (with full per-node
         action maps) are built whenever the trace is retained, so traced
         executions are indistinguishable from the per-round path.
@@ -825,6 +840,13 @@ class RadioNetwork:
         # alive): a frame repeated across rounds and blocks — a feedback
         # template, an emulated-channel epoch — is sized once per call.
         frame_sizes: dict[int, int] = {}
+
+        def size_of(message: Message) -> int:
+            size = frame_sizes.get(id(message))
+            if size is None:
+                size = frame_sizes[id(message)] = frame_size(message)
+            return size
+
         keep_records = self._keep_trace or (
             self.adversary is not None and self.adversary.needs_history
         )
@@ -849,10 +871,7 @@ class RadioNetwork:
                 message = action.message
                 template_tx.setdefault(action.channel, []).append(message)
                 if meter_payloads:
-                    size = frame_sizes.get(id(message))
-                    if size is None:
-                        size = frame_sizes[id(message)] = frame_size(message)
-                    payload_units += size
+                    payload_units += size_of(message)
             listened = block.channels
             meta = block.meta
             # The template-only resolution, computed once per block.  A
@@ -867,6 +886,17 @@ class RadioNetwork:
             for channel, msg in quiet.items():
                 if msg is not None and channel in listened:
                     quiet_heard[channel] = msg
+            column = block.column
+            column_channel = -1  # this round's; -1 when there is no column
+            column_width = 0
+            if column is not None:
+                column_hops = column.hops
+                column_frames = column.frames
+                column_width = len(column.senders)
+                solo = column_width == 1 and not template_tx
+                if solo:
+                    (solo_frames,) = column_frames
+                    quiet_deliveries, quiet_collisions = 1, 0
             rounds = block.rounds
             if max_rounds is not None and self._round_index + rounds > max_rounds:
                 rounds = max(0, max_rounds - self._round_index)
@@ -874,6 +904,25 @@ class RadioNetwork:
             done = deliveries = spoofs = collisions = adversary_tx = 0
             try:
                 for r in range(rounds):
+                    if column is not None:
+                        column_channel = listened[column_hops[r]]
+                        if solo:
+                            frame = solo_frames[r]
+                            quiet = {column_channel: frame}
+                            quiet_heard = quiet
+                        else:
+                            round_tx = dict(template_tx)
+                            round_tx[column_channel] = round_tx.get(
+                                column_channel, []
+                            ) + [frames[r] for frames in column_frames]
+                            quiet, quiet_deliveries, _, quiet_collisions = (
+                                decode(round_tx, ())
+                            )
+                            quiet_heard = {
+                                channel: msg
+                                for channel, msg in quiet.items()
+                                if msg is not None and channel in listened
+                            }
                     adversary_txs: tuple[Transmission, ...] = ()
                     if adversary is not None:
                         if r and reusable_view:
@@ -899,8 +948,11 @@ class RadioNetwork:
                         for tx in adversary_txs:
                             channel = tx.channel
                             honest = template_tx.get(channel)
-                            if honest is not None:
-                                if len(honest) == 1:
+                            busy = 0 if honest is None else len(honest)
+                            if channel == column_channel:
+                                busy += column_width
+                            if busy:
+                                if busy == 1:
                                     collisions += 1
                                     if delivered[channel] is not None:
                                         deliveries -= 1
@@ -940,9 +992,16 @@ class RadioNetwork:
                 # also when the round cap or an adversary cut it short.
                 if done:
                     metrics.rounds += done
-                    metrics.honest_transmissions += done * len(template)
+                    metrics.honest_transmissions += done * (
+                        len(template) + column_width
+                    )
                     metrics.listens += done * len(block.listeners)
                     metrics.payload_units += done * payload_units
+                    if column is not None and meter_payloads:
+                        for frames in column_frames:
+                            metrics.payload_units += sum(
+                                map(size_of, frames[:done])
+                            )
                     metrics.adversary_transmissions += adversary_tx
                     metrics.deliveries += deliveries
                     metrics.spoofs_delivered += spoofs

@@ -82,13 +82,16 @@ def crashed_sender(network: RadioNetwork):
     The epochs still burn their real rounds (hop patterns and metrics
     advance normally) but only adversarial frames are in the air —
     the cleanest way to ask "does the receiver accept *only* replays?".
+    Both the fixed template and the hopping transmit column go; the
+    listeners stay.
     """
     original = network.execute_schedule
 
     def stripped(schedule: RoundSchedule):
-        # Hop blocks and compiled rounds alike keep their listeners.
         return original(
-            RoundSchedule(replace(entry, transmits={}) for entry in schedule)
+            RoundSchedule(
+                replace(block, transmits={}, column=None) for block in schedule
+            )
         )
 
     network.execute_schedule = stripped
@@ -120,7 +123,7 @@ class RekeyEpochTap:
         network.execute_schedule = self._run
 
     def _run(self, schedule: RoundSchedule):
-        meta = schedule.rounds[0].meta
+        meta = schedule.blocks[0].meta
         if meta.phase != "rekey" or meta.extra.get("member") != self.member:
             return self._original(schedule)
         if self._mode == "replay":

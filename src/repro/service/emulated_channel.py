@@ -31,13 +31,13 @@ from ..crypto.hashes import canonical_encode
 from ..crypto.hopping import ChannelHopper
 from ..crypto.stream import AuthenticatedCipher, Ciphertext, nonce_from_counter
 from ..errors import ConfigurationError, CryptoError
-from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
-    CompiledRound,
+    HopBlock,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    hop_row,
 )
 from ..rng import RngRegistry
 
@@ -165,27 +165,18 @@ class LongLivedChannel:
         deliveries: dict[int, Delivery | None] = {m: None for m in listeners}
 
         # The epoch's hop pattern is key-derived and the frames are fixed:
-        # compile every real round up front and submit the batch.
+        # one block in which the senders hop with every listener.
         meta = RoundMeta(phase="service", extra={"emulated_round": er})
-        members_listening = tuple(listeners)
-        epoch: list[CompiledRound] = []
-        hops: list[int] = []
-        for _ in range(self.epoch_length()):
-            channel = self._hopper.channel(self._real_round_cursor)
-            self._real_round_cursor += 1
-            epoch.append(
-                CompiledRound(
-                    transmits={
-                        sender: Transmit(channel, frame)
-                        for sender, frame in sealed.items()
-                    },
-                    listens={channel: members_listening},
-                    meta=meta,
-                    listen_count=len(members_listening),
-                )
-            )
-            hops.append(channel)
-        heard = self.network.execute_schedule(RoundSchedule(epoch))
+        rounds = self.epoch_length()
+        channels = self.network.channels
+        cursor = self._real_round_cursor
+        hops = hop_row(
+            map(self._hopper.channel, range(cursor, cursor + rounds)), channels
+        )
+        self._real_round_cursor += rounds
+        frames = {sender: (frame,) * rounds for sender, frame in sealed.items()}
+        epoch = HopBlock.hopping_epoch(hops, channels, frames, listeners, meta)
+        heard = self.network.execute_schedule(RoundSchedule([epoch]))
 
         for channel, per_round in zip(hops, heard):
             frame = per_round.get(channel)

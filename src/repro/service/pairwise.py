@@ -19,13 +19,13 @@ from ..crypto.hashes import canonical_encode
 from ..crypto.hopping import ChannelHopper
 from ..crypto.stream import AuthenticatedCipher, Ciphertext, nonce_from_counter
 from ..errors import ConfigurationError, CryptoError
-from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
-    CompiledRound,
+    HopBlock,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    hop_row,
 )
 
 PAIRWISE_KIND = "pairwise-frame"
@@ -128,24 +128,20 @@ class PairwiseChannel:
             sender=sender,
             payload=(sender, exchange, sealed.as_tuple()),
         )
-        # The epoch is a fixed hop sequence with a static frame: compile
-        # it once and submit it as one batch.
+        # The epoch is a fixed hop sequence with a static frame: one block
+        # in which the sender hops with its peer.
         meta = RoundMeta(phase="pairwise", extra={"exchange": exchange})
-        epoch: list[CompiledRound] = []
-        hops: list[int] = []
-        for _ in range(self.epoch_length()):
-            channel = self._hopper.channel(self._cursor)
-            self._cursor += 1
-            epoch.append(
-                CompiledRound(
-                    transmits={sender: Transmit(channel, frame)},
-                    listens={channel: (receiver,)},
-                    meta=meta,
-                    listen_count=1,
-                )
-            )
-            hops.append(channel)
-        heard = self.network.execute_schedule(RoundSchedule(epoch))
+        rounds = self.epoch_length()
+        channels = self.network.channels
+        cursor = self._cursor
+        hops = hop_row(
+            map(self._hopper.channel, range(cursor, cursor + rounds)), channels
+        )
+        self._cursor += rounds
+        epoch = HopBlock.hopping_epoch(
+            hops, channels, {sender: (frame,) * rounds}, (receiver,), meta
+        )
+        heard = self.network.execute_schedule(RoundSchedule([epoch]))
 
         delivery: PairwiseDelivery | None = None
         for channel, per_round in zip(hops, heard):

@@ -31,13 +31,13 @@ from ..crypto.stream import AuthenticatedCipher, Ciphertext, nonce_from_counter
 from ..errors import ConfigurationError, CryptoError
 from ..groupkey.protocol import GroupKeyProtocol
 from ..groupkey.result import GroupKeyResult
-from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
-    CompiledRound,
+    HopBlock,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    hop_row,
 )
 from ..rng import RngRegistry
 from .emulated_channel import Delivery, LongLivedChannel
@@ -316,6 +316,7 @@ class SecureSession:
         epoch_rounds = self.network.params.dissemination_epoch_rounds(
             self.network.n, self.network.t
         )
+        channels = self.network.channels
         new_members = [distributor]
         dropped: list[int] = []
         recipients = [
@@ -333,44 +334,37 @@ class SecureSession:
                 continue
             hopper = ChannelHopper(
                 pair_key,
-                self.network.channels,
+                channels,
                 label=("rekey", generation, distributor, member),
             )
             cipher = AuthenticatedCipher(pair_key)
-            # Key-derived hops, deterministic ciphertexts: compile the
-            # member's whole epoch and submit it in one batch.
+            # Key-derived hops, deterministic ciphertexts: the member's
+            # whole epoch is one block in which the distributor hops with
+            # it and seals a fresh ciphertext each round.
             meta = RoundMeta(
                 phase="rekey",
                 extra={"generation": generation, "member": member},
             )
-            epoch: list[CompiledRound] = []
-            hops: list[int] = []
-            for r in range(epoch_rounds):
-                channel = hopper.channel(r)
-                sealed = cipher.encrypt(
-                    new_key,
-                    nonce=nonce_from_counter(generation, epoch_index, r),
-                    associated=b"rekey",
+            frames = tuple(
+                Message(
+                    kind=REKEY_KIND,
+                    sender=distributor,
+                    payload=(
+                        generation,
+                        cipher.encrypt(
+                            new_key,
+                            nonce=nonce_from_counter(generation, epoch_index, r),
+                            associated=b"rekey",
+                        ).as_tuple(),
+                    ),
                 )
-                epoch.append(
-                    CompiledRound(
-                        transmits={
-                            distributor: Transmit(
-                                channel,
-                                Message(
-                                    kind=REKEY_KIND,
-                                    sender=distributor,
-                                    payload=(generation, sealed.as_tuple()),
-                                ),
-                            )
-                        },
-                        listens={channel: (member,)},
-                        meta=meta,
-                        listen_count=1,
-                    )
-                )
-                hops.append(channel)
-            heard = self.network.execute_schedule(RoundSchedule(epoch))
+                for r in range(epoch_rounds)
+            )
+            hops = hop_row(map(hopper.channel, range(epoch_rounds)), channels)
+            epoch = HopBlock.hopping_epoch(
+                hops, channels, {distributor: frames}, (member,), meta
+            )
+            heard = self.network.execute_schedule(RoundSchedule([epoch]))
 
             received = False
             for channel, per_round in zip(hops, heard):

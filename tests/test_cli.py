@@ -169,6 +169,26 @@ class TestRejectBeforeDispatch:
         assert "repro montecarlo:" in capsys.readouterr().err
 
 
+class TestWorkloadRejectsItsGrid:
+    """A grid that passes the model check but breaks a workload's own
+    bound (f-AME needs n >= 17) fails inside a trial; every backend
+    reports the same ConfigurationError and exits 2, the socket backend
+    included (its worker ships the error type home)."""
+
+    @pytest.mark.parametrize("backend", ["serial", "procs", "socket"])
+    def test_sweep_exits_2(self, backend, capsys):
+        argv = [
+            "sweep", "--backend", backend, "--workers", "1",
+            "--nodes", "12", "--trials", "2",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (
+            "repro sweep: f-AME in regime base with t=1 and proposal size 2 "
+            "needs n >= 17 (got n=12)"
+        ) in err.splitlines()
+
+
 class TestSweepCommand:
     def test_defaults(self):
         args = build_parser().parse_args(["sweep"])

@@ -22,7 +22,6 @@ from repro.dispatch import (
     SweepSpec,
     SweepState,
     default_backend,
-    make_backend,
 )
 from repro.dispatch.journal import decode_record, encode_record
 from repro.errors import (
@@ -135,15 +134,7 @@ class TestBackends:
             with pytest.raises(ConfigurationError):
                 default_backend(workers)
 
-    def test_make_backend_names(self):
-        assert make_backend("serial").name == "serial"
-        assert make_backend("procs", workers=3).workers == 3
-        assert make_backend("socket", workers=2).name == "socket"
-        with pytest.raises(ConfigurationError):
-            make_backend("carrier-pigeon")
-        for name in BACKEND_NAMES:
-            with pytest.raises(ConfigurationError):
-                make_backend(name, workers=0)
+    def test_backend_names(self):
         assert set(BACKEND_NAMES) == {"serial", "procs", "socket"}
 
 

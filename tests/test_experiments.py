@@ -33,7 +33,7 @@ from repro.experiments import (
 from repro.radio.actions import Transmit
 from repro.radio.messages import Message
 from repro.radio.metrics import NetworkMetrics
-from repro.radio.network import CompiledRound, RoundMeta, RoundSchedule
+from repro.radio.network import HopBlock, RoundMeta, RoundSchedule, TransmitColumn
 from repro.rng import RngRegistry
 
 N = 18  # smallest population comfortably above the f-AME witness bound
@@ -153,22 +153,23 @@ class TestPickling:
 
     def test_round_schedule_round_trips(self):
         msg = Message(kind="k", sender=1, payload=("x", 2))
+        hops = bytes((0, 1, 1))
         schedule = RoundSchedule(
             [
-                CompiledRound.make(
-                    {1: Transmit(0, msg)},
-                    {0: (2, 3)},
+                HopBlock(
+                    3,
+                    {4: Transmit(1, msg)},
+                    (0, 1),
+                    (2, 3),
+                    (hops, bytes((1, 0, 0))),
                     RoundMeta(phase="p", extra={"slot": 4}),
+                    TransmitColumn((1,), hops, ((msg, msg, msg),)),
                 )
             ]
         )
         clone = pickle.loads(pickle.dumps(schedule))
-        assert len(clone) == 1
-        (cr_clone,), (cr,) = clone.rounds, schedule.rounds
-        assert cr_clone.transmits == cr.transmits
-        assert cr_clone.listens == cr.listens
-        assert cr_clone.meta == cr.meta
-        assert cr_clone.listen_count == cr.listen_count
+        assert len(clone) == 3
+        assert clone.blocks == schedule.blocks
 
     def test_spec_round_trips_into_worker(self):
         # A pickled spec executed by a real worker process reproduces the

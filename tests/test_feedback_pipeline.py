@@ -37,7 +37,7 @@ from repro.feedback.protocol import FEEDBACK_KIND, run_feedback
 from repro.feedback.witness import WitnessAssignment
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import Message, Transmission
-from repro.radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
+from repro.radio.network import HopBlock, RadioNetwork, RoundMeta, RoundSchedule
 from repro.radio.trace import SparseDelivered
 from repro.rng import RngRegistry
 
@@ -311,9 +311,10 @@ class TestGroupKeyByteIdentity:
         )
 
 
-def _random_compiled_round(rng, n, channels):
+def _random_round(rng, n, channels):
+    """A random one-round block: some transmitters, the rest listening."""
     transmits = {}
-    listens: dict[int, list[int]] = {}
+    listening: dict[int, int] = {}
     nodes = rng.sample(range(n), rng.randrange(2, n))
     for node in nodes:
         if rng.random() < 0.3:
@@ -322,9 +323,18 @@ def _random_compiled_round(rng, n, channels):
                 Message(kind="d", sender=node, payload=("p", node)),
             )
         else:
-            listens.setdefault(rng.randrange(channels), []).append(node)
+            listening[node] = rng.randrange(channels)
     meta = RoundMeta(phase="sched-test", extra={"i": rng.randrange(100)})
-    return CompiledRound.make(transmits, listens, meta)
+    return HopBlock.single_round(transmits, listening, channels, meta)
+
+
+def _first_listener_heard(block, results):
+    """A one-round block's channel results read off each channel's first
+    listener, as the per-round fallback reads them."""
+    heard = {}
+    for node, row in zip(block.listeners, block.hops):
+        heard.setdefault(block.channels[row[0]], results[node])
+    return {channel: msg for channel, msg in heard.items() if msg is not None}
 
 
 class TestExecuteSchedule:
@@ -342,7 +352,7 @@ class TestExecuteSchedule:
         n, channels, t = 16, 4, 2
         rng = random.Random(321)
         schedule = RoundSchedule(
-            _random_compiled_round(rng, n, channels) for _ in range(30)
+            _random_round(rng, n, channels) for _ in range(30)
         )
         fast = RadioNetwork(
             n, channels, t, adversary=self.ADVERSARIES[adversary]()
@@ -352,15 +362,21 @@ class TestExecuteSchedule:
         )
         heard = fast.execute_schedule(schedule)
         expected = []
-        for cr, (actions, meta) in zip(
-            schedule.rounds, schedule.as_action_batches()
+        for block, (actions, meta) in zip(
+            schedule.blocks, schedule.as_action_batches()
         ):
             results = ref.execute_round(actions, meta)
+            # Every listener got its channel's message, and the round
+            # reports every channel that decoded one.
+            assert results == {
+                node: ref.trace[-1].delivered[block.channels[row[0]]]
+                for node, row in zip(block.listeners, block.hops)
+            }
             expected.append(
                 {
-                    channel: results[group[0]]
-                    for channel, group in cr.listens.items()
-                    if group and results[group[0]] is not None
+                    channel: msg
+                    for channel, msg in ref.trace[-1].delivered.items()
+                    if msg is not None
                 }
             )
         assert heard == expected
@@ -371,9 +387,7 @@ class TestExecuteSchedule:
         """execute_rounds keeps its per-listener result contract even for
         compiled submissions (execute_schedule is the channel-level API)."""
         rng = random.Random(5)
-        schedule = RoundSchedule(
-            _random_compiled_round(rng, 8, 2) for _ in range(5)
-        )
+        schedule = RoundSchedule(_random_round(rng, 8, 2) for _ in range(5))
         via_schedule = RadioNetwork(8, 2, 1)
         via_classic = RadioNetwork(8, 2, 1)
         got = via_schedule.execute_rounds(schedule)
@@ -387,32 +401,24 @@ class TestExecuteSchedule:
     def test_validation_rejects_overlapping_roles(self):
         msg = Message(kind="x", sender=0)
         net = RadioNetwork(8, 2, 1)
-        both = CompiledRound.make({0: Transmit(0, msg)}, {1: [0]}, None)
+        both = HopBlock.single_round({0: Transmit(0, msg)}, {0: 1}, 2, RoundMeta())
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([both]))
-        twice = CompiledRound.make({}, {0: [1], 1: [1]}, None)
+        twice = HopBlock(1, {}, (0, 1), (1, 1), (b"\x00", b"\x01"), RoundMeta())
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([twice]))
-        duplicated = CompiledRound.make({}, {0: [1, 1]}, None)
-        with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([duplicated]))
-        miscounted = CompiledRound(
-            transmits={}, listens={0: [1, 2]}, meta=RoundMeta(), listen_count=7
-        )
-        with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([miscounted]))
 
     def test_validation_rejects_bad_template_and_listeners(self):
         net = RadioNetwork(8, 2, 1)
-        bad_tx = CompiledRound.make(
-            {0: Transmit(9, Message(kind="x"))}, {}, None
+        bad_tx = HopBlock(
+            1, {0: Transmit(9, Message(kind="x"))}, (), (), (), RoundMeta()
         )
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([bad_tx]))
-        bad_listener = CompiledRound.make({}, {0: [99]}, None)
+        bad_listener = HopBlock.single_round({}, {99: 0}, 2, RoundMeta())
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([bad_listener]))
-        bad_channel = CompiledRound.make({}, {7: [1]}, None)
+        bad_channel = HopBlock(1, {}, (7,), (1,), (b"\x00",), RoundMeta())
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([bad_channel]))
 
@@ -423,7 +429,8 @@ class TestExecuteSchedule:
         net = RadioNetwork(8, 2, 1)
         template = {0: Transmit(0, Message(kind="x", sender=0))}
         rounds = [
-            CompiledRound.make(template, {0: [1]}, None) for _ in range(4)
+            HopBlock.single_round(template, {1: 0}, 2, RoundMeta())
+            for _ in range(4)
         ]
         heard = net.execute_schedule(RoundSchedule(rounds))
         assert len(heard) == 4
@@ -442,24 +449,16 @@ class TestExecuteSchedule:
             )
 
         rng = random.Random(77)
-        schedule = RoundSchedule(
-            _random_compiled_round(rng, 8, 3) for _ in range(12)
-        )
+        schedule = RoundSchedule(_random_round(rng, 8, 3) for _ in range(12))
         via_schedule = build()
         via_rounds = build()
         heard = via_schedule.execute_schedule(schedule)
-        expected = []
-        for cr, (actions, meta) in zip(
-            schedule.rounds, schedule.as_action_batches()
-        ):
-            results = via_rounds.execute_round(actions, meta)
-            expected.append(
-                {
-                    channel: results[group[0]]
-                    for channel, group in cr.listens.items()
-                    if group and results[group[0]] is not None
-                }
+        expected = [
+            _first_listener_heard(block, via_rounds.execute_round(actions, meta))
+            for block, (actions, meta) in zip(
+                schedule.blocks, schedule.as_action_batches()
             )
+        ]
         assert heard == expected
         assert via_schedule.metrics == via_rounds.metrics
         assert (

@@ -1,12 +1,12 @@
 """The hop-block contract of :meth:`RadioNetwork.execute_schedule`.
 
 A :class:`~repro.radio.network.HopBlock` covers ``rounds`` rounds with one
-transmitter template and one hop row per listener.  The engine validates
-it once for all its rounds, so each check a per-round validation used to
-make has a block-level test here.  The rest pins what blocks must keep
-equal to the per-round interface: traced records (action-map order
-included), per-listener expansion, and the scenario injectors that wrap
-``execute_schedule``.
+transmitter template, an optional hopping transmit column and one hop row
+per listener.  The engine validates it once for all its rounds, so each
+check a per-round validation used to make has a block-level test here.
+The rest pins what blocks must keep equal to the per-round interface:
+traced records (action-map order included), per-listener expansion, and
+the scenario injectors that wrap ``execute_schedule``.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from repro.adversary import (
 from repro.errors import ProtocolViolation
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import Message
+from repro.radio import network as radio_network
 from repro.radio.network import (
-    CompiledRound,
     HopBlock,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    TransmitColumn,
     hop_hits,
     hop_row,
 )
@@ -52,6 +53,7 @@ def _block(
     listeners=(3, 4, 5),
     hops=None,
     meta=None,
+    column=None,
 ):
     if template is None:
         template = _template((0, 0), (1, 1))
@@ -67,26 +69,51 @@ def _block(
         tuple(listeners),
         tuple(hops),
         meta or RoundMeta(phase="hop-test"),
+        column,
     )
 
 
+def _frames(sender, rounds):
+    """A fresh frame per round, as a key-derived epoch seals them."""
+    return tuple(
+        Message(kind="c", sender=sender, payload=(sender, r)) for r in range(rounds)
+    )
+
+
+def _column(senders=(6,), hops=b"\x00\x01\x02\x00", frames=None):
+    if frames is None:
+        frames = tuple(_frames(v, len(hops)) for v in senders)
+    return TransmitColumn(tuple(senders), hops, frames)
+
+
 def _random_block(rng, n, channels):
-    """A random block: some transmitters, the rest hopping listeners."""
-    nodes = rng.sample(range(n), rng.randrange(2, n))
+    """A random block: some template transmitters, maybe a hopping column
+    of one or two senders, the rest hopping listeners."""
+    nodes = rng.sample(range(n), rng.randrange(3, n))
     rounds = rng.randrange(1, 7)
     transmitters = nodes[: rng.randrange(0, 3)]
     template = _template(*((v, rng.randrange(channels)) for v in transmitters))
     block_channels = tuple(rng.sample(range(channels), rng.randrange(1, channels + 1)))
-    listeners = tuple(nodes[len(transmitters) :])
-    hops = tuple(
-        hop_row(
-            [rng.randrange(len(block_channels)) for _ in range(rounds)],
-            len(block_channels),
+    width = len(block_channels)
+    column = None
+    senders = nodes[len(transmitters) : len(transmitters) + rng.randrange(0, 3)]
+    if senders:
+        fixed = rng.random() < 0.5
+        column = TransmitColumn(
+            tuple(senders),
+            hop_row([rng.randrange(width) for _ in range(rounds)], width),
+            tuple(
+                (Message(kind="f", sender=v),) * rounds if fixed else _frames(v, rounds)
+                for v in senders
+            ),
         )
+    listeners = tuple(nodes[len(transmitters) + len(senders) :])
+    hops = tuple(
+        hop_row([rng.randrange(width) for _ in range(rounds)], width)
         for _ in listeners
     )
     meta = RoundMeta(phase="hop-random", extra={"i": rng.randrange(100)})
-    return HopBlock(rounds, template, block_channels, listeners, hops, meta)
+    return HopBlock(rounds, template, block_channels, listeners, hops, meta, column)
 
 
 def _run(block):
@@ -147,6 +174,46 @@ class TestBlockValidation:
     def test_bad_template_rejected(self):
         with pytest.raises(ProtocolViolation, match="invalid channel 5"):
             _run(_block(template=_template((0, 5))))
+
+    def test_column_sender_out_of_range(self):
+        with pytest.raises(ProtocolViolation, match="unknown node id 40"):
+            _run(_block(column=_column(senders=(40,))))
+
+    def test_column_without_sender(self):
+        with pytest.raises(ProtocolViolation, match="no sender"):
+            _run(_block(column=_column(senders=(), frames=())))
+
+    def test_column_sender_listed_twice(self):
+        with pytest.raises(ProtocolViolation, match="sender twice"):
+            _run(_block(column=_column(senders=(6, 6))))
+
+    def test_column_sender_also_listens(self):
+        with pytest.raises(ProtocolViolation, match="sender 4 also listens"):
+            _run(_block(column=_column(senders=(4,))))
+
+    def test_column_sender_also_in_template(self):
+        with pytest.raises(ProtocolViolation, match="sender 1 .* transmit template"):
+            _run(_block(column=_column(senders=(1,))))
+
+    def test_column_hop_row_of_wrong_length(self):
+        column = _column(hops=b"\x00\x01\x02", frames=(_frames(6, 4),))
+        with pytest.raises(ProtocolViolation, match="another length"):
+            _run(_block(column=column))
+
+    def test_column_frames_of_wrong_length(self):
+        with pytest.raises(ProtocolViolation, match="one frame per sender per round"):
+            _run(_block(column=_column(frames=(_frames(6, 3),))))
+        with pytest.raises(ProtocolViolation, match="one frame per sender per round"):
+            _run(_block(column=_column(senders=(6, 7), frames=(_frames(6, 4),))))
+
+    def test_column_hop_beyond_channel_count(self):
+        with pytest.raises(ProtocolViolation, match="outside the block"):
+            _run(_block(column=_column(hops=b"\x00\x03\x00\x00")))
+
+    def test_column_frame_must_be_a_message(self):
+        frames = (_frames(6, 3) + (Transmit(0, Message(kind="c")),),)
+        with pytest.raises(ProtocolViolation, match="non-Message frame"):
+            _run(_block(column=_column(frames=frames)))
 
     def test_validation_runs_before_any_round(self):
         net = RadioNetwork(N, C, T)
@@ -221,33 +288,141 @@ class TestBlocksMatchPerRoundResolution:
         assert list(actions) == [0, 1, 3, 4, 5]
         assert actions[3] == Listen(1) and actions[5] == Listen(0)
 
-    def test_compiled_round_converts_to_an_equal_one_round_block(self):
-        listens = {2: [5, 6], 0: [], 1: [7]}
-        cr = CompiledRound.make(_template((0, 0)), listens, RoundMeta("x"))
-        block = cr.as_block()
+    def test_action_map_order_puts_the_column_after_the_template(self):
+        block = _block(column=_column(senders=(6, 7)))
+        actions = block.round_actions(2)
+        assert list(actions) == [0, 1, 6, 7, 3, 4, 5]
+        assert actions[6] == Transmit(2, block.column.frames[0][2])
+        assert actions[7] == Transmit(2, block.column.frames[1][2])
+
+    def test_single_round_lists_listeners_on_every_channel(self):
+        template = _template((0, 2))
+        block = HopBlock.single_round(template, {5: 2, 6: 2, 7: 1}, C, RoundMeta("x"))
         assert block.rounds == 1
-        assert block.channels == (2, 0, 1)
+        assert block.channels == (0, 1, 2)
         assert block.listeners == (5, 6, 7)
         assert list(block.round_actions(0).items()) == [
-            (0, cr.transmits[0]),
+            (0, template[0]),
             (5, Listen(2)),
             (6, Listen(2)),
             (7, Listen(1)),
         ]
 
-    def test_miscounted_compiled_round_is_rejected_on_entry(self):
-        cr = CompiledRound(
-            transmits={}, listens={0: [1]}, meta=RoundMeta(), listen_count=3
+
+class TestColumnsMatchPerRoundResolution:
+    """A hopping transmit column resolves exactly like the per-round
+    submission of the same actions, on the no-template fast path and on
+    the general path alike."""
+
+    def _assert_block_matches_rounds(self, block, make_adversary):
+        fast = RadioNetwork(N, C, T, adversary=make_adversary())
+        ref = RadioNetwork(N, C, T, adversary=make_adversary())
+        heard = fast.execute_schedule(RoundSchedule([block]))
+        for r, (actions, meta) in enumerate(block.as_action_batches()):
+            results = ref.execute_round(actions, meta)
+            delivered = ref.trace[-1].delivered
+            for node, row in zip(block.listeners, block.hops):
+                assert results[node] == delivered[block.channels[row[r]]]
+            assert heard[r] == {
+                channel: msg
+                for channel, msg in delivered.items()
+                if msg is not None and channel in block.channels
+            }
+        assert fast.metrics == ref.metrics
+        for got, want in zip(fast.trace, ref.trace):
+            assert list(got.actions.items()) == list(want.actions.items())
+            assert got.adversary_transmissions == want.adversary_transmissions
+            assert list(got.delivered.items()) == list(want.delivered.items())
+        return heard, fast
+
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+    def test_point_to_point_epoch(self, adversary):
+        hops = bytes(r % C for r in range(9))
+        block = _block(
+            rounds=9,
+            template={},
+            listeners=(4,),
+            hops=(hops,),
+            column=_column(senders=(6,), hops=hops),
         )
-        with pytest.raises(ProtocolViolation, match="listen_count"):
-            RoundSchedule([cr])
+        heard, _ = self._assert_block_matches_rounds(block, ADVERSARIES[adversary])
+        if adversary == "none":
+            assert [h[r % C] for r, h in enumerate(heard)] == list(
+                block.column.frames[0]
+            )
+
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+    def test_column_with_template_and_two_senders(self, adversary):
+        for senders in ((6,), (6, 7)):
+            block = _block(rounds=6, column=_column(senders, bytes([0, 1, 2] * 2)))
+            self._assert_block_matches_rounds(block, ADVERSARIES[adversary])
+
+    def test_spoof_on_the_senders_channel_collides(self):
+        # The injector's channel is round_index % C, which is where the
+        # sender hops, so every round the forgery lands on the sender.
+        forged = Message(kind="forged", sender=6)
+        hops = bytes(r % C for r in range(6))
+        block = _block(
+            rounds=6,
+            template={},
+            listeners=(4, 5),
+            hops=(hops, bytes((r + 1) % C for r in range(6))),
+            column=_column(senders=(6,), hops=hops),
+        )
+        heard, net = self._assert_block_matches_rounds(
+            block, lambda: FrameInjector(lambda view: forged)
+        )
+        assert heard == [{}] * 6
+        assert net.metrics.collisions == 6
+        assert net.metrics.deliveries == net.metrics.spoofs_delivered == 0
+
+    def test_sender_colliding_with_a_template_transmitter(self):
+        # The template transmits on channel 0; the sender hops 0, 1, 2, ...
+        block = _block(
+            rounds=6,
+            template=_template((0, 0)),
+            column=_column(hops=bytes([0, 1, 2] * 2)),
+        )
+        heard, net = self._assert_block_matches_rounds(block, lambda: None)
+        assert [0 in h for h in heard] == [False, True, True] * 2
+        assert net.metrics.collisions == 2
+
+    def test_random_blocks_with_columns(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            block = _random_block(rng, N, C)
+            for adversary in sorted(ADVERSARIES):
+                self._assert_block_matches_rounds(block, ADVERSARIES[adversary])
+
+    def test_each_distinct_frame_is_sized_once(self, monkeypatch):
+        sized = []
+        real = radio_network.frame_size
+
+        def counting(message):
+            sized.append(message)
+            return real(message)
+
+        monkeypatch.setattr(radio_network, "frame_size", counting)
+        fixed = Message(kind="f", sender=6, payload=("x",))
+        fresh = _frames(6, 4)
+        net = RadioNetwork(N, C, T)
+        net.execute_schedule(
+            RoundSchedule(
+                [
+                    _block(template={}, column=_column(frames=((fixed,) * 4,))),
+                    _block(template={}, column=_column(frames=(fresh,))),
+                ]
+            )
+        )
+        assert sized == [fixed, *fresh]
+        assert net.metrics.payload_units == 4 * real(fixed) + sum(map(real, fresh))
 
 
 class TestPerListenerExpansion:
     def test_as_action_batches_expands_every_round_of_every_block(self):
         block = _block(rounds=3)
-        cr = CompiledRound.make(_template((2, 1)), {0: [7]}, RoundMeta("y"))
-        schedule = RoundSchedule([block, cr])
+        one = HopBlock.single_round(_template((2, 1)), {7: 0}, C, RoundMeta("y"))
+        schedule = RoundSchedule([block, one])
         assert len(schedule) == 4
         batches = schedule.as_action_batches()
         assert len(batches) == 4
@@ -256,7 +431,7 @@ class TestPerListenerExpansion:
             assert meta is block.meta
             for node, row in zip(block.listeners, block.hops):
                 assert actions[node] == Listen(block.channels[row[r]])
-        assert batches[3] == ({2: cr.transmits[2], 7: Listen(0)}, cr.meta)
+        assert batches[3] == ({2: one.transmits[2], 7: Listen(0)}, one.meta)
 
     @pytest.mark.parametrize("adversary", ["none", "random", "spoof"])
     def test_execute_rounds_returns_one_result_per_listener_round(
@@ -332,6 +507,20 @@ class TestInjectorsWithBlocks:
         heard = net.execute_schedule(RoundSchedule([_block()]))
         assert all(heard)
 
+    def test_crashed_sender_strips_the_transmit_column(self):
+        net = RadioNetwork(N, C, T)
+        block = _block(template={}, column=_column())
+        with crashed_sender(net):
+            heard = net.execute_schedule(RoundSchedule([block]))
+        assert heard == [{}] * 4
+        assert net.metrics.honest_transmissions == 0
+        assert net.metrics.payload_units == 0
+        assert net.metrics.listens == 4 * 3
+        heard = net.execute_schedule(RoundSchedule([block]))
+        assert [list(h.values()) for h in heard] == [
+            [frame] for frame in block.column.frames[0]
+        ]
+
     def test_crashed_sender_lets_only_adversarial_frames_through(self):
         forged = Message(kind="forged", sender=0)
         net = RadioNetwork(N, C, T, adversary=FrameInjector(lambda view: forged))
@@ -349,7 +538,9 @@ class TestInjectorsWithBlocks:
                 phase="rekey",
                 extra={"member": member, "generation": generation},
             )
-            return RoundSchedule([_block(rounds=5, meta=meta)])
+            hops = bytes([0, 1, 2, 1, 0])
+            column = _column(hops=hops, frames=(_frames(6, 5),))
+            return RoundSchedule([_block(rounds=5, meta=meta, column=column)])
 
         tap = RekeyEpochTap(net, member)
         first = net.execute_schedule(epoch(1))

@@ -64,8 +64,9 @@ class TestPayloadSize:
         from repro.params import ProtocolParameters
         from repro.radio.actions import Listen, Transmit
         from repro.radio.network import (
-            CompiledRound,
+            HopBlock,
             RadioNetwork,
+            RoundMeta,
             RoundSchedule,
         )
 
@@ -73,7 +74,9 @@ class TestPayloadSize:
         metered = RadioNetwork(4, 2, 0)
         metered.execute_round({0: Transmit(0, msg), 1: Listen(0)})
         metered.execute_schedule(
-            RoundSchedule([CompiledRound.make({0: Transmit(0, msg)}, {0: [1]})])
+            RoundSchedule(
+                [HopBlock.single_round({0: Transmit(0, msg)}, {1: 0}, 2, RoundMeta())]
+            )
         )
         assert metered.metrics.payload_units == 6
 
@@ -83,7 +86,9 @@ class TestPayloadSize:
         )
         lean.execute_round({0: Transmit(0, msg), 1: Listen(0)})
         lean.execute_schedule(
-            RoundSchedule([CompiledRound.make({0: Transmit(0, msg)}, {0: [1]})])
+            RoundSchedule(
+                [HopBlock.single_round({0: Transmit(0, msg)}, {1: 0}, 2, RoundMeta())]
+            )
         )
         assert lean.metrics.payload_units == 0
         assert lean.metrics.honest_transmissions == 2

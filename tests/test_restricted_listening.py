@@ -17,7 +17,7 @@ from repro.extensions import (
 from repro.fame.digests import slot_set_digest
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import DELTA_KIND, JAM, DeltaFrame, Message, Transmission
-from repro.radio.network import CompiledRound, RoundMeta, RoundSchedule
+from repro.radio.network import HopBlock, RoundMeta, RoundSchedule
 from repro.rng import RngRegistry
 
 
@@ -44,10 +44,10 @@ class TestCompiledDeltaFallback:
                 0: Transmit(0, Message(kind=DELTA_KIND, sender=0, payload=payload)),
                 1: Transmit(2, Message(kind=DELTA_KIND, sender=1, payload=payload)),
             }
-            listens = {0: [2, 3], 2: [4], 1: [5]}
+            listening = {2: 0, 3: 0, 4: 2, 5: 1}
             rounds.append(
-                CompiledRound.make(
-                    transmits, listens, RoundMeta(phase="feedback-parallel")
+                HopBlock.single_round(
+                    transmits, listening, 3, RoundMeta(phase="feedback-parallel")
                 )
             )
         return RoundSchedule(rounds)
@@ -61,15 +61,14 @@ class TestCompiledDeltaFallback:
         via_rounds = build()
         heard = via_schedule.execute_schedule(schedule)
         expected = []
-        for cr, (actions, meta) in zip(
-            schedule.rounds, schedule.as_action_batches()
-        ):
+        for actions, meta in schedule.as_action_batches():
             results = via_rounds.execute_round(actions, meta)
+            # Each channel's result, read off its first listener.
             expected.append(
                 {
-                    channel: results[group[0]]
-                    for channel, group in cr.listens.items()
-                    if group and results[group[0]] is not None
+                    channel: results[first]
+                    for channel, first in ((0, 2), (2, 4), (1, 5))
+                    if results[first] is not None
                 }
             )
         assert heard == expected

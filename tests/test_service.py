@@ -317,7 +317,7 @@ class TestSessionBugfixRegressions:
 
         def jam_victims_epoch(schedule):
             heard = original(schedule)
-            meta = schedule.rounds[0].meta
+            meta = schedule.blocks[0].meta
             if meta.phase == "rekey" and meta.extra.get("member") == victim:
                 return [{} for _ in heard]
             return heard
@@ -340,7 +340,7 @@ class TestSessionBugfixRegressions:
 
         def stale_gen(schedule):
             heard = original(schedule)
-            meta = schedule.rounds[0].meta
+            meta = schedule.blocks[0].meta
             if meta.phase == "rekey" and meta.extra.get("member") == victim:
                 gen = meta.extra["generation"]
                 rewritten = []
@@ -406,7 +406,7 @@ class TestServiceAdversaryGauntlet:
     def test_pairwise_replay_from_prior_exchange_rejected(self):
         from repro.adversary.base import Adversary
         from repro.radio.messages import Transmission
-        from repro.radio.network import CompiledRound, RoundSchedule
+        from repro.scenarios.injectors import crashed_sender
         from repro.service import PairwiseChannel
 
         net = make_network(n=12, channels=2, t=1, keep_trace=True)
@@ -432,28 +432,11 @@ class TestServiceAdversaryGauntlet:
         net.adversary = ReplayPrior()
 
         # Exchange 1 with a crashed sender: strip the transmits so only
-        # the adversary's replayed exchange-0 frames are in the air.
-        original = net.execute_schedule
-
-        def crashed_sender(schedule):
-            return original(
-                RoundSchedule(
-                    [
-                        CompiledRound(
-                            transmits={},
-                            listens=r.listens,
-                            meta=r.meta,
-                            listen_count=r.listen_count,
-                        )
-                        for r in schedule.rounds
-                    ]
-                )
-            )
-
-        net.execute_schedule = crashed_sender
-        # The receiver hears only replays; the claimed_exchange binding
+        # the adversary's replayed exchange-0 frames are in the air.  The
+        # receiver hears only replays; the claimed_exchange binding
         # rejects every one of them.
-        assert ch.send(0, b"new") is None
+        with crashed_sender(net):
+            assert ch.send(0, b"new") is None
 
     def test_spoofed_sender_equal_to_receiver_rejected(self):
         from repro.adversary.base import Adversary
@@ -498,7 +481,7 @@ class TestServiceAdversaryGauntlet:
 
         def capture(schedule):
             heard = original(schedule)
-            meta = schedule.rounds[0].meta
+            meta = schedule.blocks[0].meta
             if meta.phase == "rekey" and meta.extra.get("member") == victim:
                 captured[meta.extra["generation"]] = heard
             return heard
@@ -508,7 +491,7 @@ class TestServiceAdversaryGauntlet:
         assert victim in first.members and 1 in captured
 
         def replay_gen1(schedule):
-            meta = schedule.rounds[0].meta
+            meta = schedule.blocks[0].meta
             if meta.phase == "rekey" and meta.extra.get("member") == victim:
                 original(schedule)  # burn the epoch's real rounds
                 return captured[1]
